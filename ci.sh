@@ -85,7 +85,7 @@ VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_ingest.json" \
 echo "==> VIBNN_SCALE=quick backend bench (software/quantized/cycle, asserts determinism before timing)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_backend.json" \
     cargo run --release -p vibnn_bench --bin bench_backend
-for field in cycles_per_request energy_nj_per_request; do
+for field in cycles_per_request energy_nj_per_request stage_seconds host_ns_per_mac energy_nj_per_mac; do
     grep -q "\"$field\"" target/BENCH_backend.json \
         || { echo "FAIL: BENCH_backend.json lacks the $field field"; exit 1; }
 done

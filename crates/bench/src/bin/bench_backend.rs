@@ -8,6 +8,15 @@
 //! [`vibnn::backend::BackendCost`] the engine accumulates (zero for host
 //! backends by contract).
 //!
+//! Two per-MAC figures sit beside the throughput. For the quantized
+//! backend, `stage_seconds` splits the same request stream into weight
+//! generation, the integer forward, and softmax plus the Monte Carlo
+//! reduction, timed around the public calls the backend makes
+//! (`QuantizedBnn::sample_weights_with`, `forward_with_weights`,
+//! `softmax_rows`, `reduce_mean`); `host_ns_per_mac` is the forward time
+//! per integer MAC. For the cycle backend, `energy_nj_per_mac` is the
+//! ledger's energy per request over the MACs a request performs.
+//!
 //! Before timing anything it asserts the determinism contract: every
 //! backend must be worker-count invariant, the quantized backend must be
 //! bit-identical to the historical batched path, and the cycle backend
@@ -19,10 +28,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibnn::bnn::{Bnn, BnnConfig};
-use vibnn::grng::ZigguratGrng;
+use vibnn::bnn::{reduce_mean, Bnn, BnnConfig};
+use vibnn::grng::{StreamFork, ZigguratGrng};
 use vibnn::hw::CycleAccelerator;
-use vibnn::nn::{GaussianInit, Matrix};
+use vibnn::nn::{softmax_rows, GaussianInit, Matrix};
 use vibnn::serve::{ServeConfig, ServeEngine};
 use vibnn::{BackendKind, Vibnn, VibnnBuilder};
 use vibnn_bench::RunScale;
@@ -174,6 +183,71 @@ struct Sample {
     rps: f64,
     cycles_per_request: f64,
     energy_nj_per_request: f64,
+    /// Quantized backend only: the hand-timed stage split.
+    stages: Option<Stages>,
+}
+
+/// Seconds spent in each stage of the quantized backend over the whole
+/// request stream, and the integer MACs the forward stage performed.
+#[derive(Default)]
+struct Stages {
+    weights: f64,
+    forward: f64,
+    softmax_reduce: f64,
+    macs: f64,
+}
+
+/// Integer MACs one row costs per Monte Carlo sample.
+fn macs_per_row(vibnn: &Vibnn) -> usize {
+    vibnn
+        .network()
+        .layer_sizes()
+        .windows(2)
+        .map(|p| p[0] * p[1])
+        .sum()
+}
+
+/// The quantized backend's micro-batches run stage by stage from the
+/// public calls it makes: per sample `s`, weights from `eps.fork(s)`,
+/// the integer forward and the softmax; per micro-batch the reduction.
+/// Every mean row is checked against the batched path, so the stages
+/// timed are the ones that produce the served bits.
+fn quantized_stages(vibnn: &Vibnn, x: &Matrix, max_batch: usize) -> Stages {
+    let q = vibnn.network();
+    let eps = ZigguratGrng::new(EPS_SEED);
+    let reference = vibnn.predict_proba_parallel(x, &eps, 1);
+    let macs_per_sample_row = macs_per_row(vibnn);
+    let mut st = Stages::default();
+    let mut eps_scratch = Vec::new();
+    for start in (0..x.rows()).step_by(max_batch) {
+        let chunk = x.rows_slice(start, (start + max_batch).min(x.rows()));
+        let mut members = Vec::with_capacity(vibnn.mc_samples());
+        for s in 0..vibnn.mc_samples() {
+            let t = Instant::now();
+            let weights = q.sample_weights_with(&mut eps.fork(s as u64), &mut eps_scratch);
+            st.weights += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let mut probs = q.forward_with_weights(&chunk, &weights);
+            st.forward += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            softmax_rows(&mut probs);
+            st.softmax_reduce += t.elapsed().as_secs_f64();
+            members.push(probs);
+        }
+        let t = Instant::now();
+        let mean = reduce_mean(&members);
+        st.softmax_reduce += t.elapsed().as_secs_f64();
+        st.macs += (chunk.rows() * macs_per_sample_row * vibnn.mc_samples()) as f64;
+        for r in 0..chunk.rows() {
+            assert_eq!(
+                bits(mean.row(r)),
+                bits(reference.row(start + r)),
+                "stage-by-stage quantized path diverged at row {}",
+                start + r
+            );
+        }
+    }
+    st
 }
 
 fn measure(vibnn: Vibnn, backend: BackendKind, x: &Matrix, max_batch: usize) -> Sample {
@@ -189,6 +263,7 @@ fn measure(vibnn: Vibnn, backend: BackendKind, x: &Matrix, max_batch: usize) -> 
         rps: n / elapsed,
         cycles_per_request: cost.cycles as f64 / n,
         energy_nj_per_request: cost.energy_nj / n,
+        stages: None,
     }
 }
 
@@ -211,11 +286,24 @@ fn main() {
         for &mb in &max_batches {
             // Warm-up pass, then measure.
             let _ = measure(vibnn.clone(), backend, &x, mb);
-            let s = measure(vibnn.clone(), backend, &x, mb);
+            let mut s = measure(vibnn.clone(), backend, &x, mb);
             println!(
                 "{:>9?}  max_batch {mb:3}  {:10.1} req/s  {:12.1} cycles/req  {:10.2} nJ/req",
                 s.backend, s.rps, s.cycles_per_request, s.energy_nj_per_request
             );
+            if backend == BackendKind::Quantized {
+                let _ = quantized_stages(&vibnn, &x, mb);
+                let st = quantized_stages(&vibnn, &x, mb);
+                println!(
+                    "           stages: weights {:.4} s  forward {:.4} s  softmax+reduce {:.4} s  \
+                     {:.3} ns/MAC",
+                    st.weights,
+                    st.forward,
+                    st.softmax_reduce,
+                    st.forward * 1e9 / st.macs
+                );
+                s.stages = Some(st);
+            }
             samples.push(s);
         }
     }
@@ -230,14 +318,34 @@ fn main() {
     let _ = writeln!(json, "  \"requests\": {},", w.requests);
     let _ = writeln!(json, "  \"mc_samples\": {},", w.mc_samples);
     let _ = writeln!(json, "  \"determinism_asserted_before_timing\": true,");
+    let macs_per_request = (macs_per_row(&vibnn) * w.mc_samples) as f64;
     json.push_str("  \"grid\": [\n");
     for (i, s) in samples.iter().enumerate() {
+        let mut extra = String::new();
+        if let Some(st) = &s.stages {
+            let _ = write!(
+                extra,
+                ", \"stage_seconds\": {{\"weights\": {:.6}, \"forward\": {:.6}, \
+                 \"softmax_reduce\": {:.6}}}, \"host_ns_per_mac\": {:.4}",
+                st.weights,
+                st.forward,
+                st.softmax_reduce,
+                st.forward * 1e9 / st.macs
+            );
+        }
+        if s.backend == BackendKind::Cycle {
+            let _ = write!(
+                extra,
+                ", \"energy_nj_per_mac\": {:.4}",
+                s.energy_nj_per_request / macs_per_request
+            );
+        }
         let _ = writeln!(
             json,
             "    {{\"backend\": \"{:?}\", \"max_batch\": {}, \
              \"requests_per_sec\": {:.1}, \
              \"cycles_per_request\": {:.1}, \
-             \"energy_nj_per_request\": {:.3}}}{}",
+             \"energy_nj_per_request\": {:.3}{extra}}}{}",
             s.backend,
             s.max_batch,
             s.rps,

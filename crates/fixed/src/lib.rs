@@ -218,15 +218,20 @@ impl MacAccumulator {
         Self::default()
     }
 
-    /// Accumulates `a * b` at full precision.
+    /// Accumulates `a * b` at full precision. The 64-bit sum wraps
+    /// modulo 2^64 in every build profile, as release builds always did
+    /// (it is exact while the terms' magnitudes sum below 2^63);
+    /// wrapping addition is associative, so any summation order gives
+    /// the same bits.
     pub fn mac(&mut self, a_raw: i32, b_raw: i32) {
-        self.sum += i64::from(a_raw) * i64::from(b_raw);
+        self.sum = self.sum.wrapping_add(i64::from(a_raw) * i64::from(b_raw));
         self.ops += 1;
     }
 
-    /// Adds a raw value already at the accumulator's fraction scale.
+    /// Adds a raw value already at the accumulator's fraction scale
+    /// (wrapping, as [`Self::mac`]).
     pub fn add_raw(&mut self, raw: i64) {
-        self.sum += raw;
+        self.sum = self.sum.wrapping_add(raw);
     }
 
     /// Raw accumulated value.

@@ -23,7 +23,7 @@
 //! rule; only the float averaging step follows it.
 
 use vibnn_bnn::{parallel_fork_map, reduce_mean, BnnParams};
-use vibnn_fixed::{choose_format, MacAccumulator, QFormat};
+use vibnn_fixed::{choose_format, QFormat};
 use vibnn_grng::{GaussianSource, StreamFork};
 use vibnn_nn::{softmax_rows, Matrix};
 
@@ -97,6 +97,128 @@ struct QLayer {
     sigma: Vec<i32>,
     bias_mu: Vec<i32>,
     bias_sigma: Vec<i32>,
+}
+
+/// Caller-owned buffers for [`QuantizedBnn::forward_into`]: flat
+/// row-major `i32` activation tables (a layer's input and output, which
+/// swap roles layer by layer) and the `i64` accumulators of layers that
+/// need the wide path. They grow to the largest shapes seen and are then
+/// reused, so a scratch kept across Monte Carlo samples and batches makes
+/// the forward pass allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    act: Vec<i32>,
+    next: Vec<i32>,
+    wide: Vec<i64>,
+}
+
+/// Per-worker state of the Monte Carlo loops: the ε buffer of
+/// [`QuantizedBnn::sample_weights_with`] and the forward scratch.
+#[derive(Debug, Default)]
+struct McScratch {
+    eps: Vec<f64>,
+    forward: ForwardScratch,
+}
+
+/// Batch rows that share one pass over a weight row: the row is read
+/// from L2 once and reused from L1 for every row of the block.
+const ROW_BLOCK: usize = 8;
+
+/// Whether a layer with `in_dim` inputs can accumulate in `i32` exactly.
+///
+/// Every term of an accumulator — each of the `in_dim` products and the
+/// bias shifted by the activation fraction width — is at most
+/// `2^(act_bits − 1) · 2^(w_bits − 1)` in magnitude, so every partial sum
+/// fits when `(in_dim + 1) · 2^(act_bits + w_bits − 2) < 2^31`. The
+/// widths are read from the two formats, which a checkpoint may give
+/// different widths. At the default `B = 8` it holds for any
+/// `in_dim` below 131,071.
+fn narrow_accumulator_exact(in_dim: usize, act_fmt: QFormat, weight_fmt: QFormat) -> bool {
+    let term_bits = act_fmt.total_bits() + weight_fmt.total_bits() - 2;
+    ((in_dim as u128 + 1) << term_bits) < 1u128 << 31
+}
+
+/// Whether every raw value lies in `fmt`'s range — the premise of
+/// [`narrow_accumulator_exact`] for weight tables, which a caller of
+/// [`QuantizedBnn::forward_into`] may build by hand.
+fn within(raw: &[i32], fmt: QFormat) -> bool {
+    let (lo, hi) = raw
+        .iter()
+        .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    lo >= fmt.min_raw() && hi <= fmt.max_raw()
+}
+
+/// An integer accumulator of the forward kernel.
+trait Accumulator: Copy {
+    /// The bias term, at the product scale.
+    fn bias(b: i32, act_f: u32) -> Self;
+    /// `self + a·w`.
+    fn mac(self, a: i32, w: i32) -> Self;
+}
+
+impl Accumulator for i32 {
+    fn bias(b: i32, act_f: u32) -> Self {
+        b << act_f
+    }
+
+    fn mac(self, a: i32, w: i32) -> Self {
+        self + a * w
+    }
+}
+
+impl Accumulator for i64 {
+    fn bias(b: i32, act_f: u32) -> Self {
+        i64::from(b) << act_f
+    }
+
+    fn mac(self, a: i32, w: i32) -> Self {
+        self.wrapping_add(i64::from(a) * i64::from(w))
+    }
+}
+
+/// One layer's MACs: `acc[r][j] = bias[j] + Σ_i input[r][i] · w[i][j]`
+/// over flat row-major tables, row-outer (in blocks of [`ROW_BLOCK`]),
+/// input-middle, output-inner, so weight reads are contiguous and the
+/// inner loop vectorises. Zero inputs contribute nothing and are skipped.
+fn mac_layer<A: Accumulator>(
+    input: &[i32],
+    in_dim: usize,
+    w: &[i32],
+    bias: &[i32],
+    act_f: u32,
+    acc: &mut [A],
+) {
+    let out_dim = bias.len();
+    if out_dim == 0 {
+        return;
+    }
+    for row in acc.chunks_exact_mut(out_dim) {
+        for (a, &b) in row.iter_mut().zip(bias) {
+            *a = A::bias(b, act_f);
+        }
+    }
+    if in_dim == 0 {
+        return;
+    }
+    for (x_block, acc_block) in input
+        .chunks(ROW_BLOCK * in_dim)
+        .zip(acc.chunks_mut(ROW_BLOCK * out_dim))
+    {
+        for (i, w_row) in w.chunks_exact(out_dim).enumerate() {
+            for (x_row, acc_row) in x_block
+                .chunks_exact(in_dim)
+                .zip(acc_block.chunks_exact_mut(out_dim))
+            {
+                let a = x_row[i];
+                if a == 0 {
+                    continue;
+                }
+                for (acc, &wv) in acc_row.iter_mut().zip(w_row) {
+                    *acc = acc.mac(a, wv);
+                }
+            }
+        }
+    }
 }
 
 /// A BNN deployed on the fixed-point datapath.
@@ -267,58 +389,122 @@ impl QuantizedBnn {
 
     /// Forward pass of one batch through one sampled weight set; returns
     /// dequantized logits. This is the reference semantics the cycle
-    /// simulator must match bit-for-bit.
+    /// simulator must match bit-for-bit. A convenience wrapper over
+    /// [`Self::forward_into`] with fresh buffers.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward_into`].
     pub fn forward_with_weights(
         &self,
         x: &Matrix,
         weights: &[(Vec<i32>, Vec<i32>)],
     ) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, weights, &mut ForwardScratch::default(), &mut out);
+        out
+    }
+
+    /// The integer forward pass of [`Self::forward_with_weights`], writing
+    /// the dequantized logits into `out` (reshaped to `x.rows() ×
+    /// classes`) and keeping every intermediate in `scratch`. Once the
+    /// buffers have grown to the batch's shapes it allocates nothing, so
+    /// a caller reuses one scratch across Monte Carlo samples.
+    ///
+    /// Each layer is one pass over its row-major `in_dim × out_dim`
+    /// weight table: accumulators start at the bias (shifted to the
+    /// product scale), then for every input `i` the activation `x[r][i]`
+    /// scales weight row `i` into row `r`'s accumulators, a few batch
+    /// rows per weight row. Zero activations are skipped. Accumulation is
+    /// in `i32` when every partial sum provably fits — `(in_dim + 1) ·
+    /// 2^(act_bits + w_bits − 2) < 2^31` with the weight tables inside
+    /// the weight format — and otherwise in wrapping `i64`, the
+    /// [`vibnn_fixed::MacAccumulator`] arithmetic. Integer addition is exact and
+    /// associative (modulo 2^64 in the wide case), so neither the loop
+    /// order, the skipped zero products nor the narrow accumulator can
+    /// change a bit of the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` does not hold one `(in_dim·out_dim, out_dim)`
+    /// table pair per layer or `x.cols()` is not the input width. Serving
+    /// rejects ragged rows with a typed `ShapeMismatch` before they reach
+    /// this check.
+    pub fn forward_into(
+        &self,
+        x: &Matrix,
+        weights: &[(Vec<i32>, Vec<i32>)],
+        scratch: &mut ForwardScratch,
+        out: &mut Matrix,
+    ) {
         assert_eq!(weights.len(), self.layers.len(), "weight set mismatch");
+        assert_eq!(x.cols(), self.layers[0].in_dim, "activation width mismatch");
+        for (layer, (w, b)) in self.layers.iter().zip(weights) {
+            assert!(
+                w.len() == layer.in_dim * layer.out_dim && b.len() == layer.out_dim,
+                "weight table shape mismatch"
+            );
+        }
         let spec = &self.spec;
         let act_f = spec.act_fmt.frac_bits();
-        let w_f = spec.weight_fmt.frac_bits();
-        // Quantize inputs.
-        let mut act: Vec<Vec<i32>> = (0..x.rows())
-            .map(|r| {
-                x.row(r)
-                    .iter()
-                    .map(|&v| spec.act_fmt.quantize_f32(v))
-                    .collect()
-            })
-            .collect();
+        let from_frac = act_f + spec.weight_fmt.frac_bits();
+        let rows = x.rows();
+        let ForwardScratch { act, next, wide } = scratch;
+        act.clear();
+        act.extend(x.data().iter().map(|&v| spec.act_fmt.quantize_f32(v)));
         let last = self.layers.len() - 1;
         for (l, (layer, (w, b))) in self.layers.iter().zip(weights).enumerate() {
-            let mut next: Vec<Vec<i32>> = Vec::with_capacity(act.len());
-            for row in &act {
-                assert_eq!(row.len(), layer.in_dim, "activation width mismatch");
-                let mut out_row = Vec::with_capacity(layer.out_dim);
-                for j in 0..layer.out_dim {
-                    let mut acc = MacAccumulator::new();
-                    for (i, &xi) in row.iter().enumerate() {
-                        acc.mac(xi, w[i * layer.out_dim + j]);
-                    }
-                    // Bias enters at the accumulator scale (act_f + w_f):
-                    // shift the weight-format bias by act_f.
-                    acc.add_raw(i64::from(b[j]) << act_f);
-                    let mut v = spec.act_fmt.requantize(acc.raw(), act_f + w_f);
-                    if l < last {
-                        v = vibnn_fixed::relu_raw(v);
-                    }
-                    out_row.push(v);
+            let finish = |raw: i64| {
+                let v = spec.act_fmt.requantize(raw, from_frac);
+                if l < last {
+                    vibnn_fixed::relu_raw(v)
+                } else {
+                    v
                 }
-                next.push(out_row);
+            };
+            let n = rows * layer.out_dim;
+            next.resize(n, 0);
+            let narrow = narrow_accumulator_exact(layer.in_dim, spec.act_fmt, spec.weight_fmt)
+                && within(w, spec.weight_fmt)
+                && within(b, spec.weight_fmt);
+            if narrow {
+                mac_layer(act, layer.in_dim, w, b, act_f, next);
+                for v in next.iter_mut() {
+                    *v = finish(i64::from(*v));
+                }
+            } else {
+                wide.resize(n, 0);
+                mac_layer(act, layer.in_dim, w, b, act_f, wide);
+                for (v, &raw) in next.iter_mut().zip(wide.iter()) {
+                    *v = finish(raw);
+                }
             }
-            act = next;
+            std::mem::swap(act, next);
         }
-        // Dequantize logits.
-        let out_dim = self.layers[last].out_dim;
-        let mut logits = Matrix::zeros(act.len(), out_dim);
-        for (r, row) in act.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                logits[(r, c)] = spec.act_fmt.dequantize(v) as f32;
-            }
+        out.resize(rows, self.layers[last].out_dim);
+        for (o, &v) in out.data_mut().iter_mut().zip(act.iter()) {
+            *o = spec.act_fmt.dequantize(v) as f32;
         }
-        logits
+        // Give each buffer the same role in every call (`act` takes the
+        // input), so a single call grows the scratch to its steady size.
+        if self.layers.len() % 2 == 1 {
+            std::mem::swap(act, next);
+        }
+    }
+
+    /// One Monte Carlo member: sample a weight set from `src`, run the
+    /// integer forward and softmax the logits.
+    fn sample_member(
+        &self,
+        x: &Matrix,
+        src: &mut impl GaussianSource,
+        scratch: &mut McScratch,
+    ) -> Matrix {
+        let weights = self.sample_weights_with(src, &mut scratch.eps);
+        let mut probs = Matrix::zeros(0, 0);
+        self.forward_into(x, &weights, &mut scratch.forward, &mut probs);
+        softmax_rows(&mut probs);
+        probs
     }
 
     /// Monte Carlo predictive probabilities on the fixed-point datapath
@@ -336,11 +522,9 @@ impl QuantizedBnn {
         assert!(samples > 0, "need at least one Monte Carlo sample");
         let out_dim = self.layers.last().expect("layers").out_dim;
         let mut acc = Matrix::zeros(x.rows(), out_dim);
+        let mut scratch = McScratch::default();
         for _ in 0..samples {
-            let weights = self.sample_weights(eps_src);
-            let mut probs = self.forward_with_weights(x, &weights);
-            softmax_rows(&mut probs);
-            acc.axpy(1.0, &probs);
+            acc.axpy(1.0, &self.sample_member(x, eps_src, &mut scratch));
         }
         acc.scale(1.0 / samples as f32);
         acc
@@ -390,12 +574,12 @@ impl QuantizedBnn {
         threads: usize,
     ) -> Vec<Matrix> {
         assert!(samples > 0, "need at least one Monte Carlo sample");
-        parallel_fork_map(samples, threads, eps_src, |_, src, eps_scratch: &mut Vec<f64>| {
-            let weights = self.sample_weights_with(src, eps_scratch);
-            let mut probs = self.forward_with_weights(x, &weights);
-            softmax_rows(&mut probs);
-            probs
-        })
+        parallel_fork_map(
+            samples,
+            threads,
+            eps_src,
+            |_, src, scratch: &mut McScratch| self.sample_member(x, src, scratch),
+        )
     }
 
     /// Accuracy under hardware MC inference.
@@ -429,9 +613,296 @@ impl QuantizedBnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vibnn_bnn::{Bnn, BnnConfig};
+    use vibnn_fixed::MacAccumulator;
     use vibnn_grng::BoxMullerGrng;
     use vibnn_nn::GaussianInit;
+
+    /// The forward pass before the flat kernel, kept as its bit-exactness
+    /// oracle: `Vec<Vec<i32>>` rows, one [`MacAccumulator`] per output,
+    /// weights read with a column stride, bias added last.
+    fn scalar_oracle(q: &QuantizedBnn, x: &Matrix, weights: &[(Vec<i32>, Vec<i32>)]) -> Matrix {
+        let spec = &q.spec;
+        let act_f = spec.act_fmt.frac_bits();
+        let w_f = spec.weight_fmt.frac_bits();
+        let mut act: Vec<Vec<i32>> = (0..x.rows())
+            .map(|r| {
+                x.row(r)
+                    .iter()
+                    .map(|&v| spec.act_fmt.quantize_f32(v))
+                    .collect()
+            })
+            .collect();
+        let last = q.layers.len() - 1;
+        for (l, (layer, (w, b))) in q.layers.iter().zip(weights).enumerate() {
+            let mut next: Vec<Vec<i32>> = Vec::with_capacity(act.len());
+            for row in &act {
+                let mut out_row = Vec::with_capacity(layer.out_dim);
+                for j in 0..layer.out_dim {
+                    let mut acc = MacAccumulator::new();
+                    for (i, &xi) in row.iter().enumerate() {
+                        acc.mac(xi, w[i * layer.out_dim + j]);
+                    }
+                    acc.add_raw(i64::from(b[j]) << act_f);
+                    let mut v = spec.act_fmt.requantize(acc.raw(), act_f + w_f);
+                    if l < last {
+                        v = vibnn_fixed::relu_raw(v);
+                    }
+                    out_row.push(v);
+                }
+                next.push(out_row);
+            }
+            act = next;
+        }
+        let mut logits = Matrix::zeros(act.len(), q.layers[last].out_dim);
+        for (r, row) in act.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                logits[(r, c)] = spec.act_fmt.dequantize(v) as f32;
+            }
+        }
+        logits
+    }
+
+    /// SplitMix64: every random kernel case is built from one seed.
+    struct CaseRng(u64);
+
+    impl CaseRng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A format of `total` bits with any fraction width.
+        fn format(&mut self, total: u32) -> QFormat {
+            QFormat::new(total, self.below(u64::from(total)) as u32)
+        }
+
+        /// `n` raw values of `fmt` in one of four patterns: all zero,
+        /// pinned at `min_raw`/`max_raw`, uniform, or mostly zero.
+        fn raws(&mut self, fmt: QFormat, n: usize) -> Vec<i32> {
+            let (lo, hi) = (i64::from(fmt.min_raw()), i64::from(fmt.max_raw()));
+            let span = (hi - lo + 1) as u64;
+            let pattern = self.below(4);
+            (0..n)
+                .map(|_| match pattern {
+                    0 => 0,
+                    1 if self.below(2) == 0 => fmt.min_raw(),
+                    1 => fmt.max_raw(),
+                    3 if self.below(4) != 0 => 0,
+                    _ => (lo + self.below(span) as i64) as i32,
+                })
+                .collect()
+        }
+    }
+
+    /// A network of `sizes` on `act_fmt`/`weight_fmt` with one random
+    /// weight set and `rows` random input rows, some all zero.
+    fn kernel_case(
+        rng: &mut CaseRng,
+        sizes: &[usize],
+        rows: usize,
+        act_fmt: QFormat,
+        weight_fmt: QFormat,
+    ) -> (QuantizedBnn, Matrix, Vec<(Vec<i32>, Vec<i32>)>) {
+        let pairs = sizes.windows(2);
+        let params = BnnParams {
+            weight_mu: pairs.clone().map(|p| Matrix::zeros(p[0], p[1])).collect(),
+            weight_sigma: pairs.clone().map(|p| Matrix::zeros(p[0], p[1])).collect(),
+            bias_mu: pairs.clone().map(|p| vec![0.0; p[1]]).collect(),
+            bias_sigma: pairs.clone().map(|p| vec![0.0; p[1]]).collect(),
+        };
+        let spec = QuantizationSpec {
+            bit_len: act_fmt.total_bits(),
+            weight_fmt,
+            sigma_fmt: weight_fmt,
+            act_fmt,
+            eps_fmt: act_fmt,
+        };
+        let q = QuantizedBnn::with_spec(&params, spec);
+        let weights = pairs
+            .map(|p| {
+                (
+                    rng.raws(weight_fmt, p[0] * p[1]),
+                    rng.raws(weight_fmt, p[1]),
+                )
+            })
+            .collect();
+        let mut x = Matrix::zeros(rows, sizes[0]);
+        for r in 0..rows {
+            if rng.below(8) == 0 {
+                continue;
+            }
+            let raw = rng.raws(act_fmt, sizes[0]);
+            for (v, &raw) in x.row_mut(r).iter_mut().zip(&raw) {
+                *v = act_fmt.dequantize(raw) as f32;
+            }
+        }
+        (q, x, weights)
+    }
+
+    fn logit_bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat kernel equals the scalar oracle bit for bit on random
+        /// topologies (up to 784 wide, 0 to 70 rows), every bit length
+        /// (both accumulator widths), act and weight formats of different
+        /// widths, zero rows and values pinned at the rails.
+        #[test]
+        fn kernel_matches_scalar_oracle(
+            seed in 0u64..,
+            bit_len in 2u32..=32,
+            rows in 0usize..=70,
+            layers in 1usize..=3,
+        ) {
+            let mut rng = CaseRng(seed);
+            let act_fmt = rng.format(bit_len);
+            let w_bits = if rng.below(2) == 0 { bit_len } else { 2 + rng.below(31) as u32 };
+            let weight_fmt = rng.format(w_bits);
+            let mut sizes = vec![if rng.below(4) == 0 { 784 } else { 1 + rng.below(784) as usize }];
+            for _ in 1..layers {
+                sizes.push(1 + rng.below(200) as usize);
+            }
+            sizes.push(1 + rng.below(16) as usize);
+            let (q, x, weights) = kernel_case(&mut rng, &sizes, rows, act_fmt, weight_fmt);
+            prop_assert_eq!(
+                logit_bits(&q.forward_with_weights(&x, &weights)),
+                logit_bits(&scalar_oracle(&q, &x, &weights))
+            );
+        }
+    }
+
+    #[test]
+    fn accumulator_width_rule_reads_both_formats() {
+        let b8 = QFormat::new(8, 6);
+        assert!(narrow_accumulator_exact(784, b8, b8));
+        assert!(narrow_accumulator_exact(131_070, b8, b8));
+        assert!(!narrow_accumulator_exact(131_071, b8, b8));
+        assert!(!narrow_accumulator_exact(1, QFormat::new(32, 0), b8));
+        assert!(!narrow_accumulator_exact(784, b8, QFormat::new(24, 3)));
+        let (a16, w12) = (QFormat::new(16, 8), QFormat::new(12, 8));
+        assert!(narrow_accumulator_exact(30, a16, w12));
+        assert!(!narrow_accumulator_exact(31, a16, w12));
+    }
+
+    #[test]
+    fn kernel_matches_oracle_at_the_rails_with_one_scratch() {
+        // Each case's weights and activations are pinned at the rails;
+        // one scratch serves every shape in turn, so a buffer left over
+        // from a larger or differently typed layer cannot leak into the
+        // next call.
+        let cases = [
+            (
+                vec![784, 200, 200, 10],
+                64,
+                QFormat::new(8, 6),
+                QFormat::new(8, 5),
+            ),
+            (
+                vec![26, 64, 2],
+                5,
+                QFormat::new(32, 31),
+                QFormat::new(32, 31),
+            ),
+            (
+                vec![784, 16, 4],
+                70,
+                QFormat::new(8, 3),
+                QFormat::new(24, 20),
+            ),
+            (vec![3, 1], 1, QFormat::new(2, 1), QFormat::new(2, 0)),
+        ];
+        let mut scratch = ForwardScratch::default();
+        let mut out = Matrix::zeros(0, 0);
+        for (seed, (sizes, rows, act_fmt, weight_fmt)) in cases.into_iter().enumerate() {
+            let mut rng = CaseRng(seed as u64);
+            let (q, _, mut weights) = kernel_case(&mut rng, &sizes, rows, act_fmt, weight_fmt);
+            for (w, b) in &mut weights {
+                for v in w.iter_mut().chain(b.iter_mut()) {
+                    *v = if rng.below(2) == 0 {
+                        weight_fmt.min_raw()
+                    } else {
+                        weight_fmt.max_raw()
+                    };
+                }
+            }
+            let mut x = Matrix::zeros(rows, sizes[0]);
+            for v in x.data_mut() {
+                *v = if rng.below(2) == 0 {
+                    -f32::MAX
+                } else {
+                    f32::MAX
+                };
+            }
+            q.forward_into(&x, &weights, &mut scratch, &mut out);
+            assert_eq!(
+                logit_bits(&out),
+                logit_bits(&scalar_oracle(&q, &x, &weights)),
+                "{sizes:?} at act {act_fmt:?} / weight {weight_fmt:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_is_exact_on_both_sides_of_the_width_bound() {
+        // Every term at its largest same-sign magnitude: inputs and
+        // weights at `min_raw`, bias at `max_raw`. At 12-bit formats the
+        // narrow bound admits 510 inputs and no more; 510 inputs then sum
+        // to just under 2^31, and wider layers must take the i64 path.
+        let act_fmt = QFormat::new(12, 11);
+        let weight_fmt = QFormat::new(12, 0);
+        assert!(narrow_accumulator_exact(510, act_fmt, weight_fmt));
+        assert!(!narrow_accumulator_exact(511, act_fmt, weight_fmt));
+        for in_dim in [510, 511, 1000] {
+            let mut rng = CaseRng(in_dim as u64);
+            let (q, _, mut weights) = kernel_case(&mut rng, &[in_dim, 3], 2, act_fmt, weight_fmt);
+            weights[0].0.fill(weight_fmt.min_raw());
+            weights[0].1.fill(weight_fmt.max_raw());
+            let x = Matrix::from_vec(2, in_dim, vec![-1.0; 2 * in_dim]);
+            assert_eq!(
+                logit_bits(&q.forward_with_weights(&x, &weights)),
+                logit_bits(&scalar_oracle(&q, &x, &weights)),
+                "in_dim {in_dim}"
+            );
+        }
+    }
+
+    #[test]
+    fn weights_outside_their_format_take_the_wide_path() {
+        // A hand-built weight table beyond the format's range voids the
+        // narrow bound's premise; the kernel must still match the oracle.
+        let mut rng = CaseRng(41);
+        let fmt = QFormat::new(8, 4);
+        let (q, x, mut weights) = kernel_case(&mut rng, &[40, 12, 3], 9, fmt, fmt);
+        assert!(narrow_accumulator_exact(40, fmt, fmt));
+        weights[0].0[7] = i32::MAX;
+        weights[1].1[2] = i32::MIN;
+        assert!(!within(&weights[0].0, fmt) && !within(&weights[1].1, fmt));
+        assert_eq!(
+            logit_bits(&q.forward_with_weights(&x, &weights)),
+            logit_bits(&scalar_oracle(&q, &x, &weights))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "activation width mismatch")]
+    fn wrong_input_width_panics_before_any_mac() {
+        let bnn = Bnn::new(BnnConfig::new(&[4, 8, 2]), 1);
+        let q = QuantizedBnn::from_params(&bnn.params(), 8, &Matrix::zeros(2, 4));
+        let weights = q.sample_weights(&mut BoxMullerGrng::new(3));
+        let _ = q.forward_with_weights(&Matrix::zeros(2, 5), &weights);
+    }
 
     fn toy_data(n: usize, seed: u64) -> (Matrix, Vec<usize>) {
         let mut rng = GaussianInit::new(seed);

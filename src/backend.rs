@@ -40,7 +40,7 @@
 
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
-use vibnn_hw::{CycleAccelerator, QuantizedBnn};
+use vibnn_hw::{CycleAccelerator, ForwardScratch, QuantizedBnn};
 use vibnn_nn::{relu, softmax_rows, Matrix, LANES};
 
 use crate::sampler::{RowTracker, SampleDecision, SamplingPolicy};
@@ -544,10 +544,13 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
         // apply here; sample `s` still draws from `eps.fork(s)` with
         // the weights sampled once per member for every active row.
         let mut scratch: Vec<f64> = Vec::new();
+        let mut forward = ForwardScratch::default();
         let (out, drawn) = drive_adaptive_rows(chunk, policy, max_samples, |s, active| {
             let mut src = eps.fork(s as u64);
             let weights = self.qbnn.sample_weights_with(&mut src, &mut scratch);
-            let mut probs = self.qbnn.forward_with_weights(active, &weights);
+            let mut probs = Matrix::zeros(0, 0);
+            self.qbnn
+                .forward_into(active, &weights, &mut forward, &mut probs);
             softmax_rows(&mut probs);
             probs
         });

@@ -1,9 +1,15 @@
-//! The `StepArena` zero-allocation contract (PR 7): once the engine's
-//! pools have grown to the workload's shapes, a steady-state
-//! `train_batch_mc_threads` step at one thread performs **zero** heap
-//! allocations. Measured with a counting `#[global_allocator]` installed
-//! in this test binary; the file holds exactly one test so no concurrent
-//! test can pollute the counter.
+//! Zero-allocation contracts, measured with a counting
+//! `#[global_allocator]` installed in this test binary:
+//!
+//! - the `StepArena` contract: once the engine's pools have grown to the
+//!   workload's shapes, a steady-state `train_batch_mc_threads` step at
+//!   one thread performs **zero** heap allocations;
+//! - the quantized forward kernel: once its `ForwardScratch` and output
+//!   matrix are warm, `QuantizedBnn::forward_into` performs **zero**
+//!   heap allocations.
+//!
+//! The counter is process-wide, so every test holds `SERIAL` for its
+//! whole run and no concurrent test can pollute another's count.
 //!
 //! Run explicitly by `ci.sh`.
 
@@ -14,8 +20,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use vibnn::bnn::{Bnn, BnnConfig};
+use vibnn::grng::ZigguratGrng;
+use vibnn::hw::{ForwardScratch, QuantizedBnn};
 use vibnn::nn::{GaussianInit, Matrix};
 
 struct CountingAlloc;
@@ -41,8 +50,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn steady_state_training_step_allocates_nothing() {
+    let _serial = serial();
     // A workload that exercises every pool: 48 rows → 3 shards, 3 MC
     // samples, two hidden layers.
     let mut rng = GaussianInit::new(3);
@@ -80,5 +96,45 @@ fn steady_state_training_step_allocates_nothing() {
         "steady-state training made {} allocations over {} steps",
         after - before,
         steps
+    );
+}
+
+#[test]
+fn warm_quantized_forward_allocates_nothing() {
+    let _serial = serial();
+    // The paper's MNIST topology on a 64-row batch: inputs in [0, 1] with
+    // about half the pixels zero, as in a digit image.
+    let sizes = [784, 200, 200, 10];
+    let mut rng = GaussianInit::new(7);
+    let mut x = Matrix::zeros(64, sizes[0]);
+    for v in x.data_mut() {
+        *v = (rng.next_gaussian() as f32).clamp(0.0, 1.0);
+    }
+    let bnn = Bnn::new(BnnConfig::new(&sizes), 5);
+    let q = QuantizedBnn::from_params(&bnn.params(), 8, &x.rows_slice(0, 16));
+    let weights = q.sample_weights(&mut ZigguratGrng::new(9));
+
+    let mut scratch = ForwardScratch::default();
+    let mut out = Matrix::zeros(0, 0);
+    q.forward_into(&x, &weights, &mut scratch, &mut out);
+    let warm = out.clone();
+
+    let passes = 4;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..passes {
+        q.forward_into(&x, &weights, &mut scratch, &mut out);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "warm forward_into made {} allocations over {} passes",
+        after - before,
+        passes
+    );
+    assert_eq!(
+        out.data(),
+        warm.data(),
+        "repeated passes changed the logits"
     );
 }

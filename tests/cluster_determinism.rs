@@ -11,7 +11,7 @@
 //! Run explicitly by `ci.sh`.
 
 use vibnn::bnn::{replica_source, Bnn, BnnConfig};
-use vibnn::cluster::{ClusterConfig, ClusterEngine};
+use vibnn::cluster::{ClusterConfig, ClusterEngine, SubmitOptions};
 use vibnn::grng::ZigguratGrng;
 use vibnn::nn::{GaussianInit, Matrix};
 use vibnn::serve::{ServeConfig, ServeEngine};
@@ -150,6 +150,34 @@ fn cluster_matches_single_engine_and_batched_path() {
             }
         }
     }
+}
+
+/// A wrong-width row never reaches the forward kernel's width check:
+/// admission refuses it with a typed `ShapeMismatch`, and the next
+/// well-formed request still gets its reference bits.
+#[test]
+fn wrong_width_row_is_refused_and_serving_continues() {
+    let x = request_rows();
+    let vibnn = deployed(5);
+    let reference = reference_rows(&vibnn, &x);
+    let c = cluster(vibnn, 1, 1, 4);
+    for bad in [vec![0.5; FEATURES + 1], vec![0.5; FEATURES - 1], Vec::new()] {
+        let got = bad.len();
+        match c.submit_with(bad, SubmitOptions::default()) {
+            Err(VibnnError::ShapeMismatch {
+                expected, got: g, ..
+            }) => {
+                assert_eq!((expected, g), (FEATURES, got));
+            }
+            other => panic!("width {got}: expected ShapeMismatch, got {other:?}"),
+        }
+    }
+    let id = c
+        .submit_with(x.row(0).to_vec(), SubmitOptions::default())
+        .expect("submit");
+    let res = c.wait(id).expect("result");
+    assert_eq!(bits(&res.proba), bits(reference.row(0)));
+    assert!(c.shutdown().is_empty());
 }
 
 #[test]

@@ -186,6 +186,39 @@ fn bad_magic_version_and_kind_keep_the_connection_alive() {
     server.shutdown();
 }
 
+/// A wrong-width row in a `Predict` frame never reaches the forward
+/// kernel's width check: the reply is a typed `ShapeMismatch`, and the
+/// next well-formed row on the same connection gets its reference bits.
+#[test]
+fn wrong_width_predict_is_a_typed_error_and_serving_continues() {
+    let vibnn = tiny_vibnn();
+    let cluster = ClusterEngine::new(vibnn.clone(), ClusterConfig::default()).expect("cluster");
+    let row = [0.25f32, -1.5, 0.75];
+    let reference =
+        vibnn.predict_proba_parallel(&Matrix::from_rows(&[&row]), &cluster.replica_eps(), 1);
+    let server = match IngestServer::bind(cluster, "127.0.0.1:0", IngestConfig::default()) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("skipping ingest protocol test: cannot bind loopback ({e})");
+            return;
+        }
+    };
+    let mut client = IngestClient::connect(server.local_addr()).expect("connect");
+    for bad in [&[0.5f32; FEATURES + 1][..], &[0.5; FEATURES - 1], &[]] {
+        match client.predict(bad) {
+            Err(VibnnError::ShapeMismatch { expected, got, .. }) => {
+                assert_eq!((expected, got), (FEATURES, bad.len()));
+            }
+            other => panic!("width {}: expected ShapeMismatch, got {other:?}", bad.len()),
+        }
+    }
+    let served = client.predict(&row).expect("predict");
+    let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served.proba), bits(reference.row(0)));
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn mid_request_disconnect_never_panics_the_server() {
     let Some(server) = default_server() else {
