@@ -7,6 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+# Runs every unit, doc and integration test of the default members,
+# the determinism suites under tests/ included, so none is re-run below.
 echo "==> cargo test -q"
 cargo test -q
 
@@ -22,36 +24,6 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> NOTICE: clippy unavailable (offline toolchain); skipping lint step"
 fi
-
-echo "==> train-determinism suite (bit-identity at 1/2/4 threads)"
-cargo test -q --test train_determinism
-
-echo "==> lane-determinism suite (LANES contract vs single-chain oracle, all float paths)"
-cargo test -q --test lane_determinism
-
-echo "==> steady-state zero-allocation suite (StepArena contract)"
-cargo test -q --test alloc_steady_state
-
-echo "==> serve-determinism suite (engine == batched inference, any order/worker count)"
-cargo test -q --test serve_determinism
-
-echo "==> cluster-determinism suite (cluster == engine == batched, any replica count, hot swap)"
-cargo test -q --test cluster_determinism
-
-echo "==> online-determinism suite (full loop bit-identical across thread counts and kill/resume)"
-cargo test -q --test online_determinism
-
-echo "==> backend-determinism suite (quantized == historical path, cycle == ticked model, mixed-pool attribution)"
-cargo test -q --test backend_determinism
-
-echo "==> ingest protocol suite (fault injection over live sockets; skips itself if sockets are unavailable)"
-cargo test -q --test ingest_protocol
-
-echo "==> ingest determinism suite (wire == direct submit, lanes/deadlines; skips itself if sockets are unavailable)"
-cargo test -q --test ingest_determinism
-
-echo "==> sampler determinism suite (ExactN == pre-policy bits, EarlyExit invariant everywhere, typed abstentions)"
-cargo test -q --test sampler_determinism
 
 echo "==> VIBNN_SCALE=quick smoke run (table1 + machine-readable GRNG bench)"
 VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin table1

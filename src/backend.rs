@@ -10,9 +10,10 @@
 //! - [`SoftwareBackend`] — the parallel float path (weights sampled as
 //!   `µ + σ·ε` in f32, dense forward, softmax), the precision reference.
 //! - [`QuantizedBackend`] — the quantized-host path the engine has
-//!   always used ([`QuantizedBnn::predict_proba_mc_members_parallel`]).
-//!   This is the **default**; its results are bit-identical to the
-//!   pre-backend serving engine.
+//!   always used (integer weight sampling and forward, the members of
+//!   [`QuantizedBnn::predict_proba_mc_members_parallel`]). This is the
+//!   **default**; its results are bit-identical to the pre-backend
+//!   serving engine.
 //! - [`CycleBackend`] — hardware in the loop: every request runs
 //!   through the cycle-ticked [`CycleAccelerator`], and the batch comes
 //!   back with exact cycle counts and energy (nJ) charged under the
@@ -29,6 +30,17 @@
 //! the same checkpoint fingerprint *and* the same backend kind, so
 //! rerouting can never change a result.
 //!
+//! # One sampling loop
+//!
+//! A backend implements one datapath method,
+//! [`InferenceBackend::serve_adaptive`]: draw members sample by sample,
+//! stop each row when its [`SamplingPolicy`] says so, and finish the row
+//! through the one finalizer that computes argmax, entropy and `mc_std`.
+//! A fixed sample count is that loop under [`ExactN`]
+//! ([`InferenceBackend::serve_microbatch`]). The software and quantized
+//! backends share one host driver that computes the samples every row is
+//! guaranteed to draw in parallel across `workers`.
+//!
 //! # Cost accounting
 //!
 //! Every micro-batch returns a [`BackendCost`]. The software and
@@ -41,9 +53,9 @@
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
 use vibnn_hw::{CycleAccelerator, ForwardScratch, QuantizedBnn};
-use vibnn_nn::{relu, softmax_rows, Matrix, LANES};
+use vibnn_nn::{relu, softmax_rows, Matrix};
 
-use crate::sampler::{RowTracker, SampleDecision, SamplingPolicy};
+use crate::sampler::{ExactN, RowTracker, SampleDecision, SamplingPolicy};
 use crate::serve::ServeResult;
 use crate::{Vibnn, VibnnError};
 
@@ -210,9 +222,12 @@ impl RowOutcome {
 }
 
 /// The micro-batch contract a serving slot dispatches through: run one
-/// validated chunk of feature rows through `samples` Monte Carlo draws
-/// and return one [`ServeResult`] per row (ids = row index within the
-/// chunk; the engine rewrites them) plus the batch's [`BackendCost`].
+/// validated chunk of feature rows through Monte Carlo draws under a
+/// sampling policy and return one [`RowOutcome`] per row (ids = row
+/// index within the chunk; the engine rewrites them) plus the batch's
+/// [`BackendCost`]. [`serve_adaptive`](Self::serve_adaptive) is the one
+/// datapath method a backend implements;
+/// [`serve_microbatch`](Self::serve_microbatch) is its fixed-count form.
 ///
 /// Implementations must keep the serving determinism contract: sample
 /// `s` draws from `eps.fork(s)`, rows are processed independently, and
@@ -242,33 +257,18 @@ pub trait InferenceBackend<S: StreamFork + Sync>: Send {
     /// Which datapath this backend runs.
     fn kind(&self) -> BackendKind;
 
-    /// Serves one micro-batch; see the trait docs for the contract.
-    fn serve_microbatch(
-        &mut self,
-        chunk: &Matrix,
-        samples: usize,
-        eps: &S,
-        workers: usize,
-    ) -> (Vec<ServeResult>, BackendCost);
-
-    /// The incremental per-sample seam: serves one micro-batch where
-    /// each row draws Monte Carlo members one at a time (sample `s`
-    /// still from `eps.fork(s)`), consults `policy` after every member,
-    /// and stops — or abstains — per row as soon as the policy decides.
-    /// `max_samples` is the budget a row can never exceed.
+    /// Serves one micro-batch: each row draws Monte Carlo members in
+    /// sample order (sample `s` from `eps.fork(s)`), `policy` sees every
+    /// member, and the row stops — or abstains — as soon as the policy
+    /// decides. `max_samples` is the budget a row can never exceed.
     ///
     /// The determinism contract extends to stopping: a row's member
     /// sequence and its policy observations are pure functions of that
     /// row's features and the ε substreams, so `samples_used` and the
     /// served bits are independent of batch composition, arrival order,
     /// and `workers`. A row that stops after `n` samples returns
-    /// exactly what [`Self::serve_microbatch`] would return for that
-    /// row with `samples = n`.
-    ///
-    /// The default implementation is a non-adaptive fallback for
-    /// backends without an incremental datapath: it runs the full
-    /// budget through [`Self::serve_microbatch`] and never abstains.
-    /// All built-in backends override it with a true early-exit path.
+    /// exactly what [`Self::serve_microbatch`] returns for that row with
+    /// `samples = n`.
     fn serve_adaptive(
         &mut self,
         chunk: &Matrix,
@@ -276,209 +276,159 @@ pub trait InferenceBackend<S: StreamFork + Sync>: Send {
         max_samples: usize,
         eps: &S,
         workers: usize,
-    ) -> (Vec<RowOutcome>, BackendCost) {
-        let _ = policy;
-        let (results, cost) = self.serve_microbatch(chunk, max_samples, eps, workers);
-        (results.into_iter().map(RowOutcome::Served).collect(), cost)
+    ) -> (Vec<RowOutcome>, BackendCost);
+
+    /// Serves one micro-batch at a fixed `samples` draws per row:
+    /// [`Self::serve_adaptive`] under [`ExactN`], which draws the whole
+    /// budget and never abstains.
+    fn serve_microbatch(
+        &mut self,
+        chunk: &Matrix,
+        samples: usize,
+        eps: &S,
+        workers: usize,
+    ) -> (Vec<ServeResult>, BackendCost) {
+        let (outcomes, cost) = self.serve_adaptive(chunk, &ExactN, samples, eps, workers);
+        let results = outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                RowOutcome::Served(result) => result,
+                RowOutcome::Abstained { .. } => unreachable!("ExactN never abstains"),
+            })
+            .collect();
+        (results, cost)
     }
 }
 
-/// Drives the adaptive sampling loop for the host (software/quantized)
-/// backends: `member_for(s, active)` computes sample `s`'s softmax
-/// member for the still-active rows, each row's [`RowTracker`] folds in
-/// its member, and the policy decides per row. Stopped rows are dropped
-/// from subsequent member evaluations (that is the speedup), and a
-/// finished row's result is rebuilt from its own flat member history
-/// through [`result_from_history`] — the same arithmetic as the batched
-/// path, which is element-wise per row, so stopping one row never
-/// perturbs another. Returns the outcomes plus total samples drawn.
-fn drive_adaptive_rows<F>(
+/// One row's progress through [`drive_host_rows`]: its decision
+/// tracker, its Monte Carlo members so far (each a `1 × classes`
+/// matrix), and the policy's latest verdict.
+struct HostRow {
+    tracker: RowTracker,
+    members: Vec<Matrix>,
+    verdict: SampleDecision,
+}
+
+impl HostRow {
+    fn running(&self) -> bool {
+        matches!(
+            self.verdict,
+            SampleDecision::Continue | SampleDecision::Escalate
+        )
+    }
+
+    fn observe(&mut self, policy: &dyn SamplingPolicy, probs: &[f32]) {
+        self.members.push(Matrix::from_vec(1, probs.len(), probs.to_vec()));
+        self.verdict = policy.decide(&self.tracker.observe_f32(probs));
+    }
+}
+
+/// The sampling loop of the host (software/quantized) backends.
+/// `member(x, src, scratch)` computes one Monte Carlo member — softmax
+/// probabilities for the rows of `x` — from `src = eps.fork(s)`.
+///
+/// The first [`PolicySpec::guaranteed_samples`] members, which every row
+/// draws, are computed for the whole chunk with the samples spread over
+/// `workers` threads ([`vibnn_bnn::parallel_fork_map`], one `W` scratch
+/// per worker); under [`ExactN`] that is the whole budget. After that
+/// the loop draws one sample at a time for the rows the policy keeps
+/// running, so a stopped row costs nothing more. Each row's mean is
+/// [`reduce_mean`] over its own members, so stopping one row never
+/// perturbs another, and a row stopped at `n` samples gets the bits of a
+/// fixed `n`-sample run.
+///
+/// [`PolicySpec::guaranteed_samples`]: crate::sampler::PolicySpec::guaranteed_samples
+fn drive_host_rows<S, W, F>(
     chunk: &Matrix,
     policy: &dyn SamplingPolicy,
     max_samples: usize,
-    mut member_for: F,
-) -> (Vec<RowOutcome>, u64)
+    eps: &S,
+    workers: usize,
+    member: F,
+) -> (Vec<RowOutcome>, BackendCost)
 where
-    F: FnMut(usize, &Matrix) -> Matrix,
+    S: StreamFork + Sync,
+    W: Default,
+    F: Fn(&Matrix, &mut S, &mut W) -> Matrix + Sync,
 {
     assert!(max_samples > 0, "need at least one Monte Carlo sample");
-    let rows = chunk.rows();
-    let mut classes = 0usize;
-    let mut trackers: Vec<RowTracker> = Vec::new();
-    // Row r's sample k occupies histories[r][k*classes..(k+1)*classes];
-    // one flat buffer per row keeps the hot loop allocation-free.
-    let mut histories: Vec<Vec<f32>> = vec![Vec::new(); rows];
-    let mut abstained: Vec<bool> = vec![false; rows];
-    let mut active: Vec<usize> = (0..rows).collect();
+    let warm = policy.spec().guaranteed_samples(max_samples);
+    let warm_members = vibnn_bnn::parallel_fork_map(warm, workers, eps, |_, src, w: &mut W| {
+        member(chunk, src, w)
+    });
+    let classes = warm_members[0].cols();
+    let mut rows: Vec<HostRow> = (0..chunk.rows())
+        .map(|_| HostRow {
+            tracker: RowTracker::new(classes, max_samples),
+            members: Vec::with_capacity(max_samples),
+            verdict: SampleDecision::Continue,
+        })
+        .collect();
+    for m in &warm_members {
+        for (r, row) in rows.iter_mut().enumerate() {
+            if row.running() {
+                row.observe(policy, m.row(r));
+            }
+        }
+    }
+    let mut active: Vec<usize> = (0..rows.len()).filter(|&r| rows[r].running()).collect();
+    let mut scratch = W::default();
     let mut sub = Matrix::zeros(0, 0);
-    let mut drawn_total = 0u64;
-    for s in 0..max_samples {
+    for s in warm..max_samples {
         if active.is_empty() {
             break;
         }
-        let member = if active.len() == rows {
-            member_for(s, chunk)
-        } else {
-            sub.resize(active.len(), chunk.cols());
-            for (i, &r) in active.iter().enumerate() {
-                sub.row_mut(i).copy_from_slice(chunk.row(r));
-            }
-            member_for(s, &sub)
-        };
-        if trackers.is_empty() {
-            classes = member.cols();
-            trackers = (0..rows)
-                .map(|_| RowTracker::new(classes, max_samples))
-                .collect();
-            for h in &mut histories {
-                h.reserve_exact(classes * max_samples);
-            }
-        }
-        drawn_total += active.len() as u64;
-        let mut still = Vec::with_capacity(active.len());
+        chunk.select_rows_into(&active, &mut sub);
+        let m = member(&sub, &mut eps.fork(s as u64), &mut scratch);
         for (i, &r) in active.iter().enumerate() {
-            let probs = member.row(i);
-            histories[r].extend_from_slice(probs);
-            let obs = trackers[r].observe_f32(probs);
-            match policy.decide(&obs) {
-                SampleDecision::Continue | SampleDecision::Escalate => still.push(r),
-                SampleDecision::Stop => {}
-                SampleDecision::Abstain => abstained[r] = true,
-            }
+            rows[r].observe(policy, m.row(i));
         }
-        active = still;
+        active.retain(|&r| rows[r].running());
     }
-    let out = histories
+    let cost = BackendCost {
+        samples: rows.iter().map(|row| row.members.len() as u64).sum(),
+        ..BackendCost::default()
+    };
+    let out = rows
         .iter()
         .enumerate()
-        .map(|(r, history)| {
-            if abstained[r] {
-                RowOutcome::Abstained {
+        .map(|(r, row)| {
+            let n = row.members.len();
+            if row.verdict == SampleDecision::Abstain {
+                return RowOutcome::Abstained {
                     id: r as u64,
-                    samples_used: (history.len() / classes) as u32,
-                    entropy_milli: trackers[r].entropy_milli(),
-                }
-            } else {
-                let mut res = result_from_history(history, classes);
-                res.id = r as u64;
-                RowOutcome::Served(res)
+                    samples_used: n as u32,
+                    entropy_milli: row.tracker.entropy_milli(),
+                };
             }
+            let proba = reduce_mean(&row.members).data().to_vec();
+            RowOutcome::Served(finish_row(r as u64, proba, n, |k, c| {
+                f64::from(row.members[k].data()[c])
+            }))
         })
         .collect();
-    (out, drawn_total)
+    (out, cost)
 }
 
-/// Builds one row's [`ServeResult`] from its flat member history
-/// (`samples × classes`, row-major), with the mean derived through the
-/// same fixed-lane rule as [`reduce_mean`] — lane `l` folds members
-/// `l, l+LANES, …` element-wise and lanes combine in ascending order,
-/// then one reciprocal multiply — so an adaptive row's result is
-/// bit-identical to the batched path at the same member count.
-fn result_from_history(history: &[f32], classes: usize) -> ServeResult {
-    let samples = history.len() / classes;
-    debug_assert!(samples > 0 && history.len() == samples * classes);
-    let mut proba: Vec<f32> = history[..classes].to_vec();
-    if samples <= LANES {
-        for k in 1..samples {
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += history[k * classes + c];
-            }
-        }
-    } else {
-        let mut k = LANES;
-        while k < samples {
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += history[k * classes + c];
-            }
-            k += LANES;
-        }
-        let mut lane = vec![0.0f32; classes];
-        for l in 1..LANES {
-            lane.copy_from_slice(&history[l * classes..(l + 1) * classes]);
-            let mut k = l + LANES;
-            while k < samples {
-                for (c, v) in lane.iter_mut().enumerate() {
-                    *v += history[k * classes + c];
-                }
-                k += LANES;
-            }
-            for (c, p) in proba.iter_mut().enumerate() {
-                *p += lane[c];
-            }
-        }
-    }
-    let recip = 1.0 / samples as f32;
-    for p in &mut proba {
-        *p *= recip;
-    }
+/// Builds one row's [`ServeResult`] from its mean probabilities and its
+/// `samples` Monte Carlo members (`member(k, c)` is member `k`'s
+/// probability of class `c`): the argmax (lowest index wins ties), the
+/// predictive entropy in nats, and `mc_std`, the mean over classes of
+/// the members' standard deviation around the mean. Every backend
+/// finishes its rows here.
+fn finish_row(
+    id: u64,
+    proba: Vec<f32>,
+    samples: usize,
+    member: impl Fn(usize, usize) -> f64,
+) -> ServeResult {
     let mut argmax = 0;
     for (c, &p) in proba.iter().enumerate() {
         if p > proba[argmax] {
             argmax = c;
         }
     }
-    let entropy = entropy_nats(&proba);
-    let mut std_sum = 0.0f64;
-    for (c, &m) in proba.iter().enumerate() {
-        let mean_c = f64::from(m);
-        let var = (0..samples)
-            .map(|k| (f64::from(history[k * classes + c]) - mean_c).powi(2))
-            .sum::<f64>()
-            / samples as f64;
-        std_sum += var.sqrt();
-    }
-    ServeResult {
-        id: 0,
-        argmax,
-        entropy,
-        mc_std: std_sum / classes as f64,
-        samples_used: samples as u32,
-        proba,
-    }
-}
-
-/// Builds per-row [`ServeResult`]s from f32 Monte Carlo member
-/// matrices, with the mean derived through the shared fixed-lane
-/// [`reduce_mean`] — the exact arithmetic the pre-backend serving
-/// engine used, kept in one place so the quantized and software
-/// backends stay bit-compatible with it.
-fn results_from_members(members: &[Matrix], samples: usize) -> Vec<ServeResult> {
-    let mean = reduce_mean(members);
-    let mut out = Vec::with_capacity(mean.rows());
-    for r in 0..mean.rows() {
-        let proba = mean.row(r).to_vec();
-        let mut argmax = 0;
-        for (c, &p) in proba.iter().enumerate() {
-            if p > proba[argmax] {
-                argmax = c;
-            }
-        }
-        let entropy = entropy_nats(&proba);
-        let mut std_sum = 0.0f64;
-        for (c, &m) in proba.iter().enumerate() {
-            let mean_c = f64::from(m);
-            let var = members
-                .iter()
-                .map(|s| (f64::from(s[(r, c)]) - mean_c).powi(2))
-                .sum::<f64>()
-                / samples as f64;
-            std_sum += var.sqrt();
-        }
-        out.push(ServeResult {
-            id: r as u64,
-            argmax,
-            entropy,
-            mc_std: std_sum / proba.len() as f64,
-            samples_used: samples as u32,
-            proba,
-        });
-    }
-    out
-}
-
-/// Predictive entropy of a probability row, in nats.
-fn entropy_nats(proba: &[f32]) -> f64 {
-    -proba
+    let entropy = -proba
         .iter()
         .map(|&p| {
             let p = f64::from(p);
@@ -488,13 +438,32 @@ fn entropy_nats(proba: &[f32]) -> f64 {
                 0.0
             }
         })
-        .sum::<f64>()
+        .sum::<f64>();
+    let mut std_sum = 0.0f64;
+    for (c, &m) in proba.iter().enumerate() {
+        let mean_c = f64::from(m);
+        let var = (0..samples)
+            .map(|k| (member(k, c) - mean_c).powi(2))
+            .sum::<f64>()
+            / samples as f64;
+        std_sum += var.sqrt();
+    }
+    ServeResult {
+        id,
+        argmax,
+        entropy,
+        mc_std: std_sum / proba.len() as f64,
+        samples_used: samples as u32,
+        proba,
+    }
 }
 
-/// The quantized-host datapath — the serving engine's historical (and
-/// default) backend. Bit-identical to the pre-backend engine: members
-/// via [`QuantizedBnn::predict_proba_mc_members_parallel`], mean via
-/// the shared [`reduce_mean`].
+/// The quantized-host datapath — the serving engine's default backend.
+/// Each member samples an integer weight set from `eps.fork(s)` and runs
+/// the integer forward ([`QuantizedBnn::forward_into`]) and softmax — the
+/// members of [`QuantizedBnn::predict_proba_mc_members_parallel`] — and
+/// means come from [`reduce_mean`], so results are bit-identical to the
+/// pre-backend serving engine.
 #[derive(Debug, Clone)]
 pub struct QuantizedBackend {
     qbnn: QuantizedBnn,
@@ -512,63 +481,38 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
         BackendKind::Quantized
     }
 
-    fn serve_microbatch(
-        &mut self,
-        chunk: &Matrix,
-        samples: usize,
-        eps: &S,
-        workers: usize,
-    ) -> (Vec<ServeResult>, BackendCost) {
-        let members = self
-            .qbnn
-            .predict_proba_mc_members_parallel(chunk, samples, eps, workers);
-        let results = results_from_members(&members, samples);
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: (chunk.rows() * samples) as u64,
-        };
-        (results, cost)
-    }
-
     fn serve_adaptive(
         &mut self,
         chunk: &Matrix,
         policy: &dyn SamplingPolicy,
         max_samples: usize,
         eps: &S,
-        _workers: usize,
+        workers: usize,
     ) -> (Vec<RowOutcome>, BackendCost) {
-        // Samples are evaluated one at a time (the exit decision gates
-        // the next draw), so the sample-parallel worker pool does not
-        // apply here; sample `s` still draws from `eps.fork(s)` with
-        // the weights sampled once per member for every active row.
-        let mut scratch: Vec<f64> = Vec::new();
-        let mut forward = ForwardScratch::default();
-        let (out, drawn) = drive_adaptive_rows(chunk, policy, max_samples, |s, active| {
-            let mut src = eps.fork(s as u64);
-            let weights = self.qbnn.sample_weights_with(&mut src, &mut scratch);
-            let mut probs = Matrix::zeros(0, 0);
-            self.qbnn
-                .forward_into(active, &weights, &mut forward, &mut probs);
-            softmax_rows(&mut probs);
-            probs
-        });
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: drawn,
-        };
-        (out, cost)
+        let qbnn = &self.qbnn;
+        drive_host_rows(
+            chunk,
+            policy,
+            max_samples,
+            eps,
+            workers,
+            |x, src, (eps_buf, forward): &mut (Vec<f64>, ForwardScratch)| {
+                let weights = qbnn.sample_weights_with(src, eps_buf);
+                let mut probs = Matrix::zeros(0, 0);
+                qbnn.forward_into(x, &weights, forward, &mut probs);
+                softmax_rows(&mut probs);
+                probs
+            },
+        )
     }
 }
 
 /// The float-precision software datapath: sample `s` forks its own ε
 /// substream, draws every layer's weights as `µ + σ·ε` in f32 (weights
 /// row-major, then biases — the weight generator's table order), runs
-/// the dense forward with ReLU between layers, and softmaxes. Members
-/// reduce through the shared [`reduce_mean`], so results are
-/// bit-identical at every worker count and batch composition.
+/// the dense forward with ReLU between layers, and softmaxes. Means
+/// come from [`reduce_mean`], so results are bit-identical at every
+/// worker count and batch composition.
 #[derive(Debug, Clone)]
 pub struct SoftwareBackend {
     params: BnnParams,
@@ -631,59 +575,35 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for SoftwareBackend {
         BackendKind::Software
     }
 
-    fn serve_microbatch(
-        &mut self,
-        chunk: &Matrix,
-        samples: usize,
-        eps: &S,
-        workers: usize,
-    ) -> (Vec<ServeResult>, BackendCost) {
-        assert!(samples > 0, "need at least one Monte Carlo sample");
-        let members = vibnn_bnn::parallel_fork_map(
-            samples,
-            workers,
-            eps,
-            |_, src, scratch: &mut Vec<f32>| self.sample_member(chunk, src, scratch),
-        );
-        let results = results_from_members(&members, samples);
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: (chunk.rows() * samples) as u64,
-        };
-        (results, cost)
-    }
-
     fn serve_adaptive(
         &mut self,
         chunk: &Matrix,
         policy: &dyn SamplingPolicy,
         max_samples: usize,
         eps: &S,
-        _workers: usize,
+        workers: usize,
     ) -> (Vec<RowOutcome>, BackendCost) {
-        // Sequential per-sample evaluation (see the quantized backend's
-        // note); sample `s` forks `eps.fork(s)` exactly as
-        // `parallel_fork_map` does on the batched path.
-        let mut scratch: Vec<f32> = Vec::new();
-        let (out, drawn) = drive_adaptive_rows(chunk, policy, max_samples, |s, active| {
-            let mut src = eps.fork(s as u64);
-            self.sample_member(active, &mut src, &mut scratch)
-        });
-        let cost = BackendCost {
-            cycles: 0,
-            energy_nj: 0.0,
-            samples: drawn,
-        };
-        (out, cost)
+        let backend = &*self;
+        drive_host_rows(
+            chunk,
+            policy,
+            max_samples,
+            eps,
+            workers,
+            |x, src, scratch: &mut Vec<f32>| backend.sample_member(x, src, scratch),
+        )
     }
 }
 
 /// Hardware in the loop: every request runs through the cycle-ticked
-/// [`CycleAccelerator`] ([`CycleAccelerator::infer_forked`], so sample
-/// `s` of any request draws from `eps.fork(s)` exactly like the host
-/// backends), and the batch cost carries the exact simulated cycles
-/// plus the energy they dissipate under the [`vibnn_hw::power`] model.
+/// [`CycleAccelerator`] one member at a time
+/// ([`CycleAccelerator::infer_sample_forked`], so sample `s` of any
+/// request draws from `eps.fork(s)` exactly like the host backends), and
+/// the batch cost carries the exact simulated cycles plus the energy
+/// they dissipate under the [`vibnn_hw::power`] model. A row served at
+/// `n` samples gets the bits of [`CycleAccelerator::infer_forked`] on a
+/// deployment configured with `n` samples: the simulator's single f64
+/// mean, not the host backends' fixed-lane one.
 ///
 /// Rows run sequentially on the single modeled accelerator — `workers`
 /// is ignored — but results remain independent of batch composition
@@ -710,52 +630,6 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
         BackendKind::Cycle
     }
 
-    fn serve_microbatch(
-        &mut self,
-        chunk: &Matrix,
-        samples: usize,
-        eps: &S,
-        _workers: usize,
-    ) -> (Vec<ServeResult>, BackendCost) {
-        let mut out = Vec::with_capacity(chunk.rows());
-        let mut cost = BackendCost::default();
-        for r in 0..chunk.rows() {
-            let (proba, members, row_cost) = self.sim.infer_forked(chunk.row(r), eps);
-            let mut argmax = 0;
-            for (c, &p) in proba.iter().enumerate() {
-                if p > proba[argmax] {
-                    argmax = c;
-                }
-            }
-            let entropy = entropy_nats(&proba);
-            let mut std_sum = 0.0f64;
-            for (c, &m) in proba.iter().enumerate() {
-                let mean_c = f64::from(m);
-                let var = members
-                    .iter()
-                    .map(|s| (s[c] - mean_c).powi(2))
-                    .sum::<f64>()
-                    / members.len() as f64;
-                std_sum += var.sqrt();
-            }
-            cost.accumulate(BackendCost {
-                cycles: row_cost.cycles,
-                energy_nj: row_cost.energy_nj,
-                samples: members.len() as u64,
-            });
-            out.push(ServeResult {
-                id: r as u64,
-                argmax,
-                entropy,
-                mc_std: std_sum / proba.len() as f64,
-                samples_used: members.len() as u32,
-                proba,
-            });
-        }
-        let _ = samples; // the simulator's configured MC count governs
-        (out, cost)
-    }
-
     fn serve_adaptive(
         &mut self,
         chunk: &Matrix,
@@ -771,33 +645,22 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
             let before = self.sim.stats().cycles;
             let mut tracker: Option<RowTracker> = None;
             let mut acc: Vec<f64> = Vec::new();
-            let mut members: Vec<Vec<f64>> = Vec::new();
-            let mut abstained = false;
-            loop {
-                let s = members.len() as u64;
-                let probs = self.sim.infer_sample_forked(chunk.row(r), s, eps);
-                let t = tracker
-                    .get_or_insert_with(|| RowTracker::new(probs.len(), max_samples));
-                let obs = t.observe(&probs);
-                if acc.is_empty() {
-                    acc = vec![0.0f64; probs.len()];
-                }
+            let mut members: Vec<Vec<f64>> = Vec::with_capacity(max_samples);
+            let mut verdict = SampleDecision::Continue;
+            // Past the budget a still-running verdict is clamped to a stop.
+            while members.len() < max_samples
+                && matches!(verdict, SampleDecision::Continue | SampleDecision::Escalate)
+            {
+                let probs = self
+                    .sim
+                    .infer_sample_forked(chunk.row(r), members.len() as u64, eps);
+                let t = tracker.get_or_insert_with(|| RowTracker::new(probs.len(), max_samples));
+                verdict = policy.decide(&t.observe(&probs));
+                acc.resize(probs.len(), 0.0);
                 for (a, &p) in acc.iter_mut().zip(&probs) {
                     *a += p;
                 }
                 members.push(probs);
-                match policy.decide(&obs) {
-                    SampleDecision::Continue | SampleDecision::Escalate => {
-                        if members.len() >= max_samples {
-                            break; // clamp a policy that never stops
-                        }
-                    }
-                    SampleDecision::Stop => break,
-                    SampleDecision::Abstain => {
-                        abstained = true;
-                        break;
-                    }
-                }
             }
             let n = members.len();
             let cycles = self.sim.stats().cycles - before;
@@ -806,44 +669,19 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
                 energy_nj: self.sim.energy_nj(cycles),
                 samples: n as u64,
             });
-            let tracker = tracker.expect("at least one sample");
-            if abstained {
-                out.push(RowOutcome::Abstained {
+            out.push(if verdict == SampleDecision::Abstain {
+                RowOutcome::Abstained {
                     id: r as u64,
                     samples_used: n as u32,
-                    entropy_milli: tracker.entropy_milli(),
-                });
-                continue;
-            }
-            // The mean is the simulator's own arithmetic: a single f64
-            // accumulation chain over members, truncated to f32 — what
-            // `infer_forked` computes for a deployment with `n` samples.
-            let proba: Vec<f32> = acc.iter().map(|&v| (v / n as f64) as f32).collect();
-            let mut argmax = 0;
-            for (c, &p) in proba.iter().enumerate() {
-                if p > proba[argmax] {
-                    argmax = c;
+                    entropy_milli: tracker.as_ref().map_or(0, RowTracker::entropy_milli),
                 }
-            }
-            let entropy = entropy_nats(&proba);
-            let mut std_sum = 0.0f64;
-            for (c, &m) in proba.iter().enumerate() {
-                let mean_c = f64::from(m);
-                let var = members
-                    .iter()
-                    .map(|s| (s[c] - mean_c).powi(2))
-                    .sum::<f64>()
-                    / n as f64;
-                std_sum += var.sqrt();
-            }
-            out.push(RowOutcome::Served(ServeResult {
-                id: r as u64,
-                argmax,
-                entropy,
-                mc_std: std_sum / proba.len() as f64,
-                samples_used: n as u32,
-                proba,
-            }));
+            } else {
+                // The mean is the simulator's own arithmetic: a single f64
+                // accumulation chain over members, truncated to f32 — what
+                // `infer_forked` computes for a deployment with `n` samples.
+                let proba = acc.iter().map(|&v| (v / n as f64) as f32).collect();
+                RowOutcome::Served(finish_row(r as u64, proba, n, |k, c| members[k][c]))
+            });
         }
         (out, cost)
     }
@@ -852,9 +690,16 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::PolicySpec;
     use crate::VibnnBuilder;
     use vibnn_bnn::{Bnn, BnnConfig};
     use vibnn_grng::ZigguratGrng;
+
+    const ALL_KINDS: [BackendKind; 3] = [
+        BackendKind::Software,
+        BackendKind::Quantized,
+        BackendKind::Cycle,
+    ];
 
     fn tiny_vibnn() -> Vibnn {
         let bnn = Bnn::new(BnnConfig::new(&[3, 6, 2]).with_sigma_init(0.1), 11);
@@ -891,19 +736,58 @@ mod tests {
         let vibnn = tiny_vibnn();
         let x = rows();
         let eps = ZigguratGrng::new(0xABCD);
-        for kind in [
-            BackendKind::Software,
-            BackendKind::Quantized,
-            BackendKind::Cycle,
-        ] {
+        // The warm-up members run sample-parallel, so an adaptive row's
+        // outcome, samples_used and abstention must not see the workers.
+        let policies = [
+            PolicySpec::ExactN,
+            PolicySpec::EarlyExit { k: 1, min_samples: 2 },
+            PolicySpec::RiskTiered {
+                k: 1,
+                min_samples: 2,
+                escalate_milli: 900,
+                abstain: true,
+            },
+        ];
+        for kind in ALL_KINDS {
+            for spec in policies {
+                let policy = spec.instantiate();
+                let serve = |workers| {
+                    kind.instantiate::<ZigguratGrng>(&vibnn).serve_adaptive(
+                        &x,
+                        policy.as_ref(),
+                        6,
+                        &eps,
+                        workers,
+                    )
+                };
+                let (base, base_cost) = serve(1);
+                if matches!(spec, PolicySpec::RiskTiered { .. }) {
+                    // Both driver phases must run, the second on a subset
+                    // of the rows: some rows are served after the warm-up
+                    // but before the budget, some abstain at the budget.
+                    assert!(
+                        base.iter()
+                            .any(|o| matches!(o, RowOutcome::Served(r) if r.samples_used < 6)),
+                        "{kind}: no row was served early: {base:?}"
+                    );
+                    assert!(
+                        base.iter()
+                            .any(|o| matches!(o, RowOutcome::Abstained { .. })),
+                        "{kind}: no row abstained: {base:?}"
+                    );
+                }
+                for workers in [2usize, 4] {
+                    let (got, cost) = serve(workers);
+                    assert_eq!(got, base, "{kind} {spec} diverged at {workers} workers");
+                    assert_eq!(cost, base_cost, "{kind} {spec} cost at {workers} workers");
+                }
+            }
             let mut reference = kind.instantiate::<ZigguratGrng>(&vibnn);
             let (base, _) = reference.serve_microbatch(&x, 3, &eps, 1);
             for workers in [2usize, 4] {
                 let mut b = kind.instantiate::<ZigguratGrng>(&vibnn);
                 let (got, _) = b.serve_microbatch(&x, 3, &eps, workers);
-                for (a, g) in base.iter().zip(&got) {
-                    assert_eq!(a.proba, g.proba, "{kind} diverged at {workers} workers");
-                }
+                assert_eq!(got, base, "{kind} diverged at {workers} workers");
             }
         }
     }
@@ -948,34 +832,118 @@ mod tests {
         }
     }
 
+    /// Per row: the mean probabilities and the Monte Carlo members of a
+    /// `samples`-sample run, computed outside the serving driver.
+    fn reference_rows(
+        kind: BackendKind,
+        vibnn: &Vibnn,
+        x: &Matrix,
+        samples: usize,
+        eps: &ZigguratGrng,
+    ) -> Vec<(Vec<f32>, Vec<Vec<f64>>)> {
+        let host = |mean: Matrix, members: Vec<Matrix>| -> Vec<(Vec<f32>, Vec<Vec<f64>>)> {
+            (0..x.rows())
+                .map(|r| {
+                    let widen = |m: &Matrix| m.row(r).iter().map(|&p| f64::from(p)).collect();
+                    (mean.row(r).to_vec(), members.iter().map(widen).collect())
+                })
+                .collect()
+        };
+        match kind {
+            BackendKind::Quantized => {
+                let q = vibnn.network();
+                host(
+                    q.predict_proba_mc_parallel(x, samples, eps, 1),
+                    q.predict_proba_mc_members_parallel(x, samples, eps, 1),
+                )
+            }
+            BackendKind::Software => {
+                let backend = SoftwareBackend::new(vibnn.params().clone());
+                let mut scratch = Vec::new();
+                let members: Vec<Matrix> = (0..samples)
+                    .map(|s| backend.sample_member(x, &mut eps.fork(s as u64), &mut scratch))
+                    .collect();
+                host(reduce_mean(&members), members)
+            }
+            BackendKind::Cycle => {
+                let mut cfg = vibnn.config().clone();
+                cfg.mc_samples = samples;
+                let mut sim = CycleAccelerator::new(cfg, vibnn.network().clone());
+                (0..x.rows())
+                    .map(|r| {
+                        let (proba, members, _) = sim.infer_forked(x.row(r), eps);
+                        (proba, members)
+                    })
+                    .collect()
+            }
+        }
+    }
+
     #[test]
     fn adaptive_exact_n_matches_the_batched_path_bit_for_bit() {
         let vibnn = tiny_vibnn();
         let x = rows();
         let eps = ZigguratGrng::new(0x5151);
-        let policy = crate::sampler::PolicySpec::ExactN.instantiate();
-        for kind in [
-            BackendKind::Software,
-            BackendKind::Quantized,
-            BackendKind::Cycle,
-        ] {
-            let mut reference = kind.instantiate::<ZigguratGrng>(&vibnn);
-            let (base, base_cost) = reference.serve_microbatch(&x, 3, &eps, 1);
+        let policy = PolicySpec::ExactN.instantiate();
+        for kind in ALL_KINDS {
             let mut adaptive = kind.instantiate::<ZigguratGrng>(&vibnn);
             let (got, cost) = adaptive.serve_adaptive(&x, policy.as_ref(), 3, &eps, 1);
-            assert_eq!(got.len(), base.len());
-            for (b, g) in base.iter().zip(&got) {
+            let reference = reference_rows(kind, &vibnn, &x, 3, &eps);
+            assert_eq!(got.len(), reference.len());
+            for ((mean, members), g) in reference.iter().zip(&got) {
                 let RowOutcome::Served(g) = g else {
                     panic!("{kind}: ExactN must never abstain")
                 };
-                assert_eq!(b.proba, g.proba, "{kind} proba diverged");
-                assert_eq!(b.argmax, g.argmax, "{kind} argmax diverged");
-                assert_eq!(b.entropy.to_bits(), g.entropy.to_bits(), "{kind} entropy");
-                assert_eq!(b.mc_std.to_bits(), g.mc_std.to_bits(), "{kind} mc_std");
+                assert_eq!(&g.proba, mean, "{kind} proba diverged");
+                // The plain f64 formulas over the reference members.
+                let mut entropy = 0.0f64;
+                let mut argmax = 0;
+                let mut std_sum = 0.0f64;
+                for (c, &p) in mean.iter().enumerate() {
+                    let p64 = f64::from(p);
+                    if p64 > 0.0 {
+                        entropy -= p64 * p64.ln();
+                    }
+                    if p > mean[argmax] {
+                        argmax = c;
+                    }
+                    let mut sq = 0.0f64;
+                    for m in members {
+                        sq += (m[c] - p64).powi(2);
+                    }
+                    std_sum += (sq / members.len() as f64).sqrt();
+                }
+                let mc_std = std_sum / mean.len() as f64;
+                assert_eq!(g.argmax, argmax, "{kind} argmax diverged");
+                assert_eq!(g.entropy.to_bits(), entropy.to_bits(), "{kind} entropy");
+                assert_eq!(g.mc_std.to_bits(), mc_std.to_bits(), "{kind} mc_std");
                 assert_eq!(g.samples_used, 3, "{kind} samples_used");
             }
-            assert_eq!(cost.samples, base_cost.samples, "{kind} sample count");
+            assert_eq!(cost.samples, (x.rows() * 3) as u64, "{kind} sample count");
         }
+    }
+
+    #[test]
+    fn cycle_backend_honours_the_requested_sample_count() {
+        let vibnn = tiny_vibnn();
+        assert_eq!(vibnn.config().mc_samples, 3);
+        let x = rows();
+        let eps = ZigguratGrng::new(0x3131);
+        let mut backend = BackendKind::Cycle.instantiate::<ZigguratGrng>(&vibnn);
+        let (served, cost) = backend.serve_microbatch(&x, 2, &eps, 1);
+        assert_eq!(cost.samples, (x.rows() * 2) as u64);
+        let mut cfg = vibnn.config().clone();
+        cfg.mc_samples = 2;
+        let mut sim = CycleAccelerator::new(cfg, vibnn.network().clone());
+        let mut cycles = 0;
+        for (r, res) in served.iter().enumerate() {
+            let (probs, members, row_cost) = sim.infer_forked(x.row(r), &eps);
+            assert_eq!(res.proba, probs, "row {r} diverged from a 2-sample run");
+            assert_eq!(res.samples_used, 2);
+            assert_eq!(members.len(), 2);
+            cycles += row_cost.cycles;
+        }
+        assert_eq!(cost.cycles, cycles);
     }
 
     #[test]
@@ -988,7 +956,7 @@ mod tests {
             BackendKind::Quantized,
             BackendKind::Cycle,
         ] {
-            let policy = crate::sampler::PolicySpec::EarlyExit { k: 1, min_samples: 1 }
+            let policy = PolicySpec::EarlyExit { k: 1, min_samples: 1 }
                 .instantiate();
             let mut adaptive = kind.instantiate::<ZigguratGrng>(&vibnn);
             let (out, _) = adaptive.serve_adaptive(&x, policy.as_ref(), 3, &eps, 1);
@@ -997,7 +965,7 @@ mod tests {
                     panic!("{kind}: EarlyExit must never abstain")
                 };
                 let n = res.samples_used as usize;
-                assert!(n >= 1 && n <= 3, "{kind} row {r} samples_used {n}");
+                assert!((1..=3).contains(&n), "{kind} row {r} samples_used {n}");
                 // A row stopped at n samples must carry exactly the bits
                 // a static-n deployment would have served it.
                 let reference: Vec<f32> = if kind == BackendKind::Cycle {
@@ -1022,7 +990,7 @@ mod tests {
         let eps = ZigguratGrng::new(0x4242);
         // Threshold 0: every request counts as high-entropy, so every
         // row escalates to the full budget and then abstains.
-        let policy = crate::sampler::PolicySpec::RiskTiered {
+        let policy = PolicySpec::RiskTiered {
             k: 1,
             min_samples: 1,
             escalate_milli: 0,

@@ -10,7 +10,8 @@
 //! accel config     pe_sets, pes_per_set, pe_inputs, bit_len,
 //!                  max_word_size (u32 each), grng kind (u8),
 //!                  grng_lanes (u32), clock_mhz (f64), mc_samples (u32)
-//! deployment       mc_samples (u32), quantizer bit_len (u32)
+//! deployment       mc_samples (u32, equal to the accel config's),
+//!                  quantizer bit_len (u32)
 //! quant spec       bit_len (u32), then 4 × (total_bits u32, frac_bits u32)
 //!                  for the weight / sigma / activation / ε formats
 //! parameters       the kind-1 BnnParams payload (shapes + f32 LE tensors)
@@ -125,6 +126,15 @@ impl Vibnn {
                 "zero Monte Carlo samples".into(),
             )));
         }
+        // The cycle simulator draws `config.mc_samples`, serving draws the
+        // deployment's count; a file where they differ would serve
+        // different sample counts down the two paths.
+        if config.mc_samples != mc_samples {
+            return Err(VibnnError::Checkpoint(CheckpointError::Corrupt(format!(
+                "accelerator draws {} Monte Carlo samples but the deployment {mc_samples}",
+                config.mc_samples
+            ))));
+        }
         config.validate()?;
         let qbnn = QuantizedBnn::with_spec(&params, spec);
         let sim = CycleAccelerator::new(config.clone(), qbnn.clone());
@@ -197,6 +207,42 @@ mod tests {
         let pb = b.predict_proba_parallel(&calib, &ZigguratGrng::new(5), 2);
         assert_eq!(pa.data(), pb.data());
         assert_eq!(a.images_per_second(), b.images_per_second());
+    }
+
+    #[test]
+    fn deployment_rejects_disagreeing_sample_counts() {
+        let bnn = Bnn::new(BnnConfig::new(&[3, 4, 2]), 5);
+        let vibnn = VibnnBuilder::new(bnn.params())
+            .mc_samples(3)
+            .calibration(Matrix::zeros(2, 3))
+            .build()
+            .unwrap();
+        let bytes = vibnn.to_bytes();
+        // Header (magic 4, version 2, kind 1), five u32 knobs, the GRNG
+        // kind byte, grng_lanes u32 and clock_mhz f64 precede the
+        // accelerator's mc_samples; the deployment's follows it.
+        let accel_at = 7 + 5 * 4 + 1 + 4 + 8;
+        let deploy_at = accel_at + 4;
+        for at in [accel_at, deploy_at] {
+            assert_eq!(bytes[at..at + 4], 3u32.to_le_bytes(), "offset {at}");
+        }
+        for at in [accel_at, deploy_at] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+            assert!(
+                matches!(
+                    Vibnn::from_bytes(&patched),
+                    Err(VibnnError::Checkpoint(CheckpointError::Corrupt(_)))
+                ),
+                "a count patched at offset {at} must be rejected"
+            );
+        }
+        // Patching both keeps the file consistent, and it loads.
+        let mut both = bytes.clone();
+        for at in [accel_at, deploy_at] {
+            both[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+        }
+        assert_eq!(Vibnn::from_bytes(&both).unwrap().mc_samples(), 4);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Three policies cover the spectrum:
 //!
 //! - [`ExactN`] — the pinned reference: always draw every configured
-//!   sample. Results are bit-identical to the historical serve path.
+//!   sample. Results are bit-identical to the pre-policy serve path
+//!   (`Vibnn::predict_proba_parallel`).
 //! - [`EarlyExit`] — stop once the running argmax and a quantized
 //!   entropy estimate have been stable for `k` consecutive samples
 //!   (after a warm-up of `min_samples`).
@@ -32,7 +33,13 @@
 //! what keeps cluster spill policy-safe. The decision accumulator is a
 //! separate f64 running sum that never touches the served result's
 //! arithmetic: a request that stops at `n` samples returns exactly what
-//! the batched path would return for `mc_samples = n`.
+//! `ExactN` returns for `mc_samples = n`.
+//!
+//! Serving runs every policy through one sampling loop per backend
+//! (`InferenceBackend::serve_adaptive`); `ExactN` is that loop without
+//! an early stop. [`PolicySpec::guaranteed_samples`] tells the loop how
+//! many samples every row draws regardless of the policy's verdicts, so
+//! those can be computed for the whole micro-batch up front.
 
 use std::fmt;
 
@@ -105,6 +112,22 @@ impl PolicySpec {
                 } else {
                     Ok(())
                 }
+            }
+        }
+    }
+
+    /// Samples every row draws under this policy with a budget of
+    /// `max_samples`: the whole budget for `ExactN`, and the warm-up
+    /// `min_samples` clamped to `1..=max_samples` otherwise. No policy
+    /// returns [`SampleDecision::Stop`] or [`SampleDecision::Abstain`]
+    /// before a row has drawn this many, so a driver may compute these
+    /// members for the whole batch up front, samples in parallel.
+    pub fn guaranteed_samples(self, max_samples: usize) -> usize {
+        match self {
+            PolicySpec::ExactN => max_samples,
+            PolicySpec::EarlyExit { min_samples, .. }
+            | PolicySpec::RiskTiered { min_samples, .. } => {
+                (min_samples as usize).max(1).min(max_samples)
             }
         }
     }
@@ -431,6 +454,7 @@ impl RowTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn spec_validation_and_codes() {
@@ -568,6 +592,49 @@ mod tests {
         let _ = tracker.observe(&[0.99, 0.01]);
         let obs = tracker.observe(&[0.99, 0.01]);
         assert_eq!(policy.decide(&obs), SampleDecision::Stop);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Warm-up is safe to batch: no policy stops or abstains a row
+        /// before it has drawn `guaranteed_samples(max)` members, for any
+        /// knobs and any member sequence.
+        #[test]
+        fn no_policy_stops_before_the_guaranteed_samples(
+            knobs in (0u32..4, 1u32..4, 0u32..12, 0u32..1001),
+            shape in (1usize..12, 2usize..5, 0u8..2),
+            members in prop::collection::vec(0.0f64..1.0, 48..49)
+        ) {
+            let (policy_code, k, min_samples, escalate_milli) = knobs;
+            let (max_samples, classes, abstain) = shape;
+            let spec = match policy_code {
+                0 => PolicySpec::ExactN,
+                1 => PolicySpec::EarlyExit { k, min_samples },
+                _ => PolicySpec::RiskTiered {
+                    k,
+                    min_samples,
+                    escalate_milli,
+                    abstain: abstain == 1,
+                },
+            };
+            let guaranteed = spec.guaranteed_samples(max_samples);
+            prop_assert!((1..=max_samples).contains(&guaranteed), "{spec}");
+            let policy = spec.instantiate();
+            let mut tracker = RowTracker::new(classes, max_samples);
+            for (s, raw) in members.chunks(classes).take(max_samples).enumerate() {
+                let total: f64 = raw.iter().sum::<f64>() + 1e-9;
+                let member: Vec<f64> = raw.iter().map(|&p| p / total).collect();
+                let obs = tracker.observe(&member);
+                let decision = policy.decide(&obs);
+                if (obs.drawn as usize) < guaranteed {
+                    prop_assert!(
+                        matches!(decision, SampleDecision::Continue | SampleDecision::Escalate),
+                        "{spec} returned {decision:?} at sample {s} of guaranteed {guaranteed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

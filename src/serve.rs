@@ -6,9 +6,13 @@
 //! is the software front-end for that: callers submit single feature
 //! rows, the engine queues them, coalesces up to
 //! [`ServeConfig::max_batch`] rows into one micro-batch, runs the batch
-//! through the parallel Monte Carlo datapath
-//! ([`QuantizedBnn::predict_proba_mc_members_parallel`]), and returns
-//! per-request probabilities plus predictive-uncertainty estimates.
+//! through the selected backend's sampling loop
+//! ([`InferenceBackend::serve_adaptive`]) under the engine's sampling
+//! policy, and returns per-request probabilities plus
+//! predictive-uncertainty estimates. Under the default
+//! [`PolicySpec::ExactN`] that loop draws every configured sample, and
+//! the samples of a micro-batch run in parallel on
+//! [`ServeConfig::workers`] threads.
 //!
 //! # Determinism
 //!
@@ -22,9 +26,6 @@
 //! reproduces the one-shot batched `predict_proba_parallel` call bit for
 //! bit — the serve-determinism integration suite pins this at 1/2/4
 //! workers for permuted arrival orders.
-//!
-//! [`QuantizedBnn`]: vibnn_hw::QuantizedBnn
-//! [`QuantizedBnn::predict_proba_mc_members_parallel`]: vibnn_hw::QuantizedBnn::predict_proba_mc_members_parallel
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -136,9 +137,9 @@ pub struct ServeEngine<S: StreamFork + Sync = ZigguratGrng> {
     /// (the cycle simulator's counters).
     backend: Mutex<BackendSlot<S>>,
     /// The resolved sampling policy ([`ServeConfig::policy`], falling
-    /// back to the deployment default). `ExactN` dispatches through the
-    /// historical batched path; anything else through the backend's
-    /// incremental [`InferenceBackend::serve_adaptive`] seam.
+    /// back to the deployment default). Every micro-batch runs through
+    /// the backend's [`InferenceBackend::serve_adaptive`] under it;
+    /// `ExactN` simply never stops a row early.
     policy: PolicySpec,
     policy_exec: Box<dyn SamplingPolicy>,
 }
@@ -236,9 +237,9 @@ impl<S: StreamFork + Sync> ServeEngine<S> {
 
     /// Synchronously serves a batch of requests (one per row of `x`):
     /// rows are coalesced into micro-batches of at most
-    /// [`ServeConfig::max_batch`] and run through the parallel Monte
-    /// Carlo datapath on [`ServeConfig::workers`] threads. Results come
-    /// back in row order with `id` = row index.
+    /// [`ServeConfig::max_batch`] and run through the backend's Monte
+    /// Carlo sampling loop on [`ServeConfig::workers`] threads. Results
+    /// come back in row order with `id` = row index.
     ///
     /// # Errors
     ///
@@ -307,28 +308,18 @@ impl<S: StreamFork + Sync> ServeEngine<S> {
     }
 
     /// Runs one micro-batch (rows already validated) through the
-    /// selected backend and appends one outcome per row, ids starting
-    /// at `id_base`. `ExactN` takes the historical batched path —
-    /// bit-identical to the pre-adaptive engine — while adaptive
-    /// policies go through the backend's incremental seam. Returns the
+    /// selected backend under the engine's sampling policy and appends
+    /// one outcome per row, ids starting at `id_base`. Returns the
     /// batch's cost (already accumulated into the engine total).
     fn run_microbatch(&self, chunk: &Matrix, id_base: u64, out: &mut Vec<RowOutcome>) -> BackendCost {
-        let samples = self.vibnn.mc_samples();
         let mut slot = self.lock_backend();
-        let (rows, cost) = if self.policy == PolicySpec::ExactN {
-            let (results, cost) =
-                slot.exec
-                    .serve_microbatch(chunk, samples, &self.eps, self.cfg.workers);
-            (results.into_iter().map(RowOutcome::Served).collect(), cost)
-        } else {
-            slot.exec.serve_adaptive(
-                chunk,
-                self.policy_exec.as_ref(),
-                samples,
-                &self.eps,
-                self.cfg.workers,
-            )
-        };
+        let (rows, cost) = slot.exec.serve_adaptive(
+            chunk,
+            self.policy_exec.as_ref(),
+            self.vibnn.mc_samples(),
+            &self.eps,
+            self.cfg.workers,
+        );
         slot.cost.accumulate(cost);
         drop(slot);
         for (r, mut row) in rows.into_iter().enumerate() {
