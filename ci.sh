@@ -25,8 +25,10 @@ else
     echo "==> NOTICE: clippy unavailable (offline toolchain); skipping lint step"
 fi
 
-echo "==> VIBNN_SCALE=quick smoke run (table1 + machine-readable GRNG bench)"
+echo "==> VIBNN_SCALE=quick smoke run (table1, the forked-ε ablations, machine-readable GRNG bench)"
 VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin table1
+VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_eps_source
+VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_mc_samples
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_grng.json" \
     cargo run --release -p vibnn_bench --bin bench_grng
 

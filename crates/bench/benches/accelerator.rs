@@ -22,14 +22,14 @@ fn benches(c: &mut Criterion) {
 
     group.bench_function("cycle_accurate_image_mnist", |b| {
         let mut sim = CycleAccelerator::new(AcceleratorConfig::paper(), q.clone());
-        let mut eps = BnnWallaceGrng::new(8, 256, 3);
-        b.iter(|| std::hint::black_box(sim.infer(calib.row(0), &mut eps)))
+        let eps = BnnWallaceGrng::new(8, 256, 3);
+        b.iter(|| std::hint::black_box(sim.infer_forked(calib.row(0), &eps)))
     });
 
     group.throughput(Throughput::Elements(8));
     group.bench_function("functional_batch8_mc1", |b| {
-        let mut eps = BnnWallaceGrng::new(8, 256, 5);
-        b.iter(|| std::hint::black_box(q.predict_proba_mc(&calib, 1, &mut eps)))
+        let eps = BnnWallaceGrng::new(8, 256, 5);
+        b.iter(|| std::hint::black_box(q.predict_proba_mc_parallel(&calib, 1, &eps, 1)))
     });
     group.finish();
 }

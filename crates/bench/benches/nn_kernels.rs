@@ -1,5 +1,5 @@
 //! NN kernel microbenchmarks: blocked matrix multiplies, BNN training
-//! step, and serial vs parallel Monte Carlo inference.
+//! step, and Monte Carlo inference on 1, 2 and 4 workers.
 use criterion::{criterion_group, criterion_main, Criterion};
 use vibnn_bnn::{Bnn, BnnConfig};
 use vibnn_grng::BoxMullerGrng;
@@ -32,16 +32,12 @@ fn benches(c: &mut Criterion) {
         bch.iter(|| std::hint::black_box(bnn.train_batch(&x, &y)))
     });
 
-    // Monte Carlo ensemble: one continuous stream (serial) vs forked
-    // substreams on 1 and 4 workers. On a multi-core host the 4-thread row
-    // should approach a 4× speedup; outputs are identical across the
-    // parallel rows regardless of core count.
+    // Monte Carlo ensemble on forked substreams (sample `s` on
+    // `eps.fork(s)`) over 1, 2 and 4 workers. On a multi-core host the
+    // 4-thread row should approach a 4× speedup; outputs are identical
+    // across the rows regardless of core count.
     let bnn = Bnn::new(BnnConfig::new(&[64, 128, 128, 10]), 3);
     let mx = Matrix::from_vec(16, 64, (0..16 * 64).map(|i| (i % 9) as f32 * 0.1).collect());
-    c.bench_function("bnn_mc16_serial", |bch| {
-        let mut eps = BoxMullerGrng::new(5);
-        bch.iter(|| std::hint::black_box(bnn.predict_proba_mc(&mx, 16, &mut eps)))
-    });
     for threads in [1usize, 2, 4] {
         c.bench_function(&format!("bnn_mc16_parallel_{threads}t"), |bch| {
             let eps = BoxMullerGrng::new(5);

@@ -4,9 +4,22 @@
 //! though its marginal stability (Table 1) is excellent.
 use vibnn_bench::{pct, print_table, RunScale};
 use vibnn_bnn::{Bnn, BnnConfig};
-use vibnn_datasets::{mnist_like_with, MnistLikeSpec};
-use vibnn_grng::{BnnWallaceGrng, BoxMullerGrng, GaussianSource, ParallelRlfGrng};
+use vibnn_datasets::{mnist_like_with, Dataset, MnistLikeSpec};
+use vibnn_grng::{BnnWallaceGrng, BoxMullerGrng, ParallelRlfGrng, StreamFork};
 use vibnn_hw::QuantizedBnn;
+
+/// One table row: test accuracy with Monte Carlo sample `s` drawing its
+/// weights from `src.fork(s)`, on one thread.
+fn row<S: StreamFork + Sync>(
+    name: &str,
+    q: &QuantizedBnn,
+    ds: &Dataset,
+    mc: usize,
+    src: S,
+) -> Vec<String> {
+    let acc = q.evaluate_mc_parallel(&ds.test_x, &ds.test_y, mc, &src, 1);
+    vec![name.to_owned(), pct(acc)]
+}
 
 fn main() {
     let scale = RunScale::from_env().learn();
@@ -35,19 +48,14 @@ fn main() {
     let calib = ds.train_x.rows_slice(0, 128);
     let q = QuantizedBnn::from_params(&bnn.params(), 8, &calib);
     let mc = scale.mc_samples;
-    let sources: Vec<(&str, Box<dyn GaussianSource>)> = vec![
-        ("ideal iid (Box-Muller)", Box::new(BoxMullerGrng::new(7))),
-        ("BNNWallace 8x256", Box::new(BnnWallaceGrng::new(8, 256, 7))),
-        ("RLF 64 lanes (interleaved)", Box::new(ParallelRlfGrng::new(64, 7))),
-        ("RLF 64 lanes (no interleaver)", Box::new(ParallelRlfGrng::without_interleaver(64, 7))),
-        ("RLF 1024 lanes", Box::new(ParallelRlfGrng::new(1024, 7))),
-        ("RLF 4096 lanes", Box::new(ParallelRlfGrng::new(4096, 7))),
+    let rows = [
+        row("ideal iid (Box-Muller)", &q, &ds, mc, BoxMullerGrng::new(7)),
+        row("BNNWallace 8x256", &q, &ds, mc, BnnWallaceGrng::new(8, 256, 7)),
+        row("RLF 64 lanes (interleaved)", &q, &ds, mc, ParallelRlfGrng::new(64, 7)),
+        row("RLF 64 lanes (no interleaver)", &q, &ds, mc, ParallelRlfGrng::without_interleaver(64, 7)),
+        row("RLF 1024 lanes", &q, &ds, mc, ParallelRlfGrng::new(1024, 7)),
+        row("RLF 4096 lanes", &q, &ds, mc, ParallelRlfGrng::new(4096, 7)),
     ];
-    let mut rows = Vec::new();
-    for (name, mut src) in sources {
-        let acc = q.evaluate_mc(&ds.test_x, &ds.test_y, mc, &mut src);
-        rows.push(vec![name.to_owned(), pct(acc)]);
-    }
     println!("software float BNN (mean weights): {}", pct(bnn.evaluate_mean(&ds.test_x, &ds.test_y)));
     print_table(
         "Ablation: 8-bit hardware accuracy vs eps source",

@@ -39,8 +39,8 @@ fn main() {
     let q = QuantizedBnn::from_params(&bnn.params(), 8, &calib);
     let mut rows = Vec::new();
     for mc in [1usize, 2, 4, 8, 16] {
-        let mut eps = BnnWallaceGrng::new(8, 256, 35);
-        let acc = q.evaluate_mc(&ds.test_x, &ds.test_y, mc, &mut eps);
+        let eps = BnnWallaceGrng::new(8, 256, 35);
+        let acc = q.evaluate_mc_parallel(&ds.test_x, &ds.test_y, mc, &eps, 1);
         let cfg = AcceleratorConfig {
             mc_samples: mc,
             ..AcceleratorConfig::paper()

@@ -28,13 +28,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibnn::bnn::{reduce_mean, Bnn, BnnConfig};
+use vibnn::bnn::reduce_mean;
 use vibnn::grng::{StreamFork, ZigguratGrng};
 use vibnn::hw::CycleAccelerator;
-use vibnn::nn::{softmax_rows, GaussianInit, Matrix};
+use vibnn::nn::{softmax_rows, Matrix};
 use vibnn::serve::{ServeConfig, ServeEngine};
-use vibnn::{BackendKind, Vibnn, VibnnBuilder};
-use vibnn_bench::RunScale;
+use vibnn::{BackendKind, Vibnn};
+use vibnn_bench::{deploy, synth_rows, RunScale};
 
 const EPS_SEED: u64 = 0xBACE;
 
@@ -76,38 +76,6 @@ impl Workload {
             },
         }
     }
-}
-
-fn synth_rows(n: usize, features: usize, seed: u64) -> (Matrix, Vec<usize>) {
-    let mut rng = GaussianInit::new(seed);
-    let mut x = Matrix::zeros(n, features);
-    let mut y = Vec::with_capacity(n);
-    for r in 0..n {
-        let mut s = 0.0;
-        for c in 0..features {
-            let v = rng.next_gaussian() as f32;
-            x[(r, c)] = v;
-            s += v;
-        }
-        y.push(usize::from(s > 0.0));
-    }
-    (x, y)
-}
-
-fn deploy(w: &Workload) -> Vibnn {
-    let (x, y) = synth_rows(512, w.features, 3);
-    let mut bnn = Bnn::new(
-        BnnConfig::new(&[w.features, w.hidden, w.classes]).with_lr(0.01),
-        5,
-    );
-    for _ in 0..w.train_epochs {
-        bnn.train_epoch(&x, &y, 64);
-    }
-    VibnnBuilder::new(bnn.params())
-        .mc_samples(w.mc_samples)
-        .calibration(x.rows_slice(0, 64))
-        .build()
-        .expect("valid deployment")
 }
 
 fn engine(
@@ -271,7 +239,8 @@ fn main() {
     let scale = RunScale::from_env();
     let w = Workload::from_scale(scale);
     let (x, _) = synth_rows(w.requests, w.features, 17);
-    let vibnn = deploy(&w);
+    let sizes = [w.features, w.hidden, w.classes];
+    let vibnn = deploy(&sizes, w.mc_samples, w.train_epochs);
 
     assert_determinism(&vibnn, &x);
 

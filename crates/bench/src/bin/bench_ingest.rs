@@ -28,13 +28,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use vibnn::bnn::{Bnn, BnnConfig};
 use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::grng::ZigguratGrng;
-use vibnn::nn::{GaussianInit, Matrix};
+use vibnn::nn::Matrix;
 use vibnn::rng::{BitSource, SplitMix64};
 use vibnn::{IngestClient, IngestConfig, IngestServer, Priority, Vibnn};
-use vibnn_bench::RunScale;
+use vibnn_bench::{deploy, synth_rows, RunScale};
 
 const CLUSTER_SEED: u64 = 0x16E57;
 const SCHEDULE_SEED: u64 = 0xA881;
@@ -85,38 +84,6 @@ impl Workload {
             },
         }
     }
-}
-
-fn synth_rows(n: usize, features: usize, seed: u64) -> (Matrix, Vec<usize>) {
-    let mut rng = GaussianInit::new(seed);
-    let mut x = Matrix::zeros(n, features);
-    let mut y = Vec::with_capacity(n);
-    for r in 0..n {
-        let mut s = 0.0;
-        for c in 0..features {
-            let v = rng.next_gaussian() as f32;
-            x[(r, c)] = v;
-            s += v;
-        }
-        y.push(usize::from(s > 0.0));
-    }
-    (x, y)
-}
-
-fn deploy(w: &Workload) -> Vibnn {
-    let (x, y) = synth_rows(512, w.features, 3);
-    let mut bnn = Bnn::new(
-        BnnConfig::new(&[w.features, w.hidden, w.classes]).with_lr(0.01),
-        5,
-    );
-    for _ in 0..w.train_epochs {
-        bnn.train_epoch(&x, &y, 64);
-    }
-    vibnn::VibnnBuilder::new(bnn.params())
-        .mc_samples(w.mc_samples)
-        .calibration(x.rows_slice(0, 64))
-        .build()
-        .expect("valid deployment")
 }
 
 fn cluster(vibnn: Vibnn) -> ClusterEngine<ZigguratGrng> {
@@ -315,7 +282,8 @@ fn main() {
     let scale = RunScale::from_env();
     let w = Workload::from_scale(scale);
     let (x, _) = synth_rows(w.requests, w.features, 17);
-    let vibnn = deploy(&w);
+    let sizes = [w.features, w.hidden, w.classes];
+    let vibnn = deploy(&sizes, w.mc_samples, w.train_epochs);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out_path =
         std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_owned());

@@ -20,13 +20,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibnn::bnn::{Bnn, BnnConfig};
 use vibnn::grng::ZigguratGrng;
-use vibnn::nn::{GaussianInit, Matrix};
+use vibnn::nn::Matrix;
 use vibnn::sampler::PolicySpec;
 use vibnn::serve::{ServeConfig, ServeEngine, ServeResult};
-use vibnn::{Vibnn, VibnnBuilder, VibnnError};
-use vibnn_bench::RunScale;
+use vibnn::{Vibnn, VibnnError};
+use vibnn_bench::{deploy, synth_rows, RunScale};
 
 const EPS_SEED: u64 = 0xBEAC;
 
@@ -68,38 +67,6 @@ impl Workload {
             },
         }
     }
-}
-
-fn synth_rows(n: usize, features: usize, seed: u64) -> (Matrix, Vec<usize>) {
-    let mut rng = GaussianInit::new(seed);
-    let mut x = Matrix::zeros(n, features);
-    let mut y = Vec::with_capacity(n);
-    for r in 0..n {
-        let mut s = 0.0;
-        for c in 0..features {
-            let v = rng.next_gaussian() as f32;
-            x[(r, c)] = v;
-            s += v;
-        }
-        y.push(usize::from(s > 0.0));
-    }
-    (x, y)
-}
-
-fn deploy(w: &Workload) -> Vibnn {
-    let (x, y) = synth_rows(512, w.features, 3);
-    let mut bnn = Bnn::new(
-        BnnConfig::new(&[w.features, w.hidden, w.classes]).with_lr(0.01),
-        5,
-    );
-    for _ in 0..w.train_epochs {
-        bnn.train_epoch(&x, &y, 64);
-    }
-    VibnnBuilder::new(bnn.params())
-        .mc_samples(w.mc_samples)
-        .calibration(x.rows_slice(0, 64))
-        .build()
-        .expect("valid deployment")
 }
 
 fn engine(vibnn: Vibnn, max_batch: usize, workers: usize) -> ServeEngine<ZigguratGrng> {
@@ -196,7 +163,8 @@ fn main() {
     let scale = RunScale::from_env();
     let w = Workload::from_scale(scale);
     let (x, y) = synth_rows(w.requests, w.features, 17);
-    let vibnn = deploy(&w);
+    let sizes = [w.features, w.hidden, w.classes];
+    let vibnn = deploy(&sizes, w.mc_samples, w.train_epochs);
 
     // Determinism gate: engine rows must be bit-identical to the batched
     // parallel call before any number is worth reporting.

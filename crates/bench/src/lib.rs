@@ -10,6 +10,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use vibnn::bnn::{Bnn, BnnConfig};
+use vibnn::nn::{GaussianInit, Matrix};
+use vibnn::{Vibnn, VibnnBuilder};
+
 /// Run scale for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
@@ -96,6 +100,48 @@ pub fn f4(x: f64) -> String {
 /// Formats a percentage with 2 decimal places.
 pub fn pct(x: f64) -> String {
     format!("{:.2}%", 100.0 * x)
+}
+
+/// `n` rows of `features` standard-normal inputs from `seed`, each
+/// labelled by the sign of its sum: the synthetic request stream of the
+/// serving benches (`bench_serve`, `bench_backend`, `bench_cluster`,
+/// `bench_ingest`).
+pub fn synth_rows(n: usize, features: usize, seed: u64) -> (Matrix, Vec<usize>) {
+    let mut rng = GaussianInit::new(seed);
+    let mut x = Matrix::zeros(n, features);
+    let mut y = Vec::with_capacity(n);
+    for r in 0..n {
+        let mut s = 0.0;
+        for c in 0..features {
+            let v = rng.next_gaussian() as f32;
+            x[(r, c)] = v;
+            s += v;
+        }
+        y.push(usize::from(s > 0.0));
+    }
+    (x, y)
+}
+
+/// The serving benches' deployment: a `sizes` BNN trained for
+/// `train_epochs` epochs on 512 [`synth_rows`] (seed 3), then deployed
+/// with `mc_samples` Monte Carlo samples and calibrated on the first 64
+/// of those rows.
+///
+/// # Panics
+///
+/// Panics if the deployment is invalid (e.g. `sizes[0]` is not the
+/// input width or `mc_samples == 0`).
+pub fn deploy(sizes: &[usize], mc_samples: usize, train_epochs: usize) -> Vibnn {
+    let (x, y) = synth_rows(512, sizes[0], 3);
+    let mut bnn = Bnn::new(BnnConfig::new(sizes).with_lr(0.01), 5);
+    for _ in 0..train_epochs {
+        bnn.train_epoch(&x, &y, 64);
+    }
+    VibnnBuilder::new(bnn.params())
+        .mc_samples(mc_samples)
+        .calibration(x.rows_slice(0, 64))
+        .build()
+        .expect("valid deployment")
 }
 
 #[cfg(test)]

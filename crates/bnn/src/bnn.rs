@@ -429,46 +429,15 @@ impl Bnn {
     }
 
     /// Monte Carlo predictive probabilities: averages the softmax output
-    /// over `samples` weight draws whose unit Gaussians come from
-    /// `eps_src` (paper equation 6). This is the seam where the hardware
-    /// GRNGs plug in. All ε tensors are drawn through the block API; one
-    /// continuous stream feeds every sample in order.
-    ///
-    /// For multi-core inference see [`Self::predict_proba_mc_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    pub fn predict_proba_mc(
-        &self,
-        x: &Matrix,
-        samples: usize,
-        eps_src: &mut impl GaussianSource,
-    ) -> Matrix {
-        assert!(samples > 0, "need at least one Monte Carlo sample");
-        let mut acc = Matrix::zeros(x.rows(), *self.cfg.sizes.last().expect("sizes"));
-        let mut scratch = EpsScratch::new();
-        for _ in 0..samples {
-            let h = self.sample_probs(x, eps_src, &mut scratch);
-            acc.axpy(1.0, &h);
-        }
-        acc.scale(1.0 / samples as f32);
-        acc
-    }
-
-    /// Monte Carlo predictive probabilities with the sample ensemble
-    /// spread across `threads` `std::thread::scope` workers.
+    /// over `samples` weight draws (paper equation 6), with the ensemble
+    /// spread across `threads` `std::thread::scope` workers. This is the
+    /// seam where the hardware GRNGs plug in.
     ///
     /// Sample `s` always draws its ε from `eps_src.fork(s)`, and the
     /// per-sample softmax outputs are reduced in ascending sample order
     /// after all workers join — so the result is **bit-identical for every
     /// thread count** (and to `threads == 1`). Pass `threads == 0` to use
     /// the [`crate::vibnn_threads`] knob (`VIBNN_THREADS`).
-    ///
-    /// Note the ε-stream *assignment* differs from
-    /// [`Self::predict_proba_mc`], which feeds one continuous stream
-    /// through all samples; the two paths are statistically equivalent but
-    /// not numerically interchangeable.
     ///
     /// # Panics
     ///
@@ -502,19 +471,9 @@ impl Bnn {
         probs
     }
 
-    /// Accuracy under MC inference.
-    pub fn evaluate_mc(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        samples: usize,
-        eps_src: &mut impl GaussianSource,
-    ) -> f64 {
-        accuracy(&self.predict_proba_mc(x, samples, eps_src), labels)
-    }
-
-    /// Accuracy under parallel MC inference (see
-    /// [`Self::predict_proba_mc_parallel`] for the threading contract).
+    /// Accuracy under MC inference (see
+    /// [`Self::predict_proba_mc_parallel`] for the ε and threading
+    /// contract).
     pub fn evaluate_mc_parallel<S: StreamFork + Sync>(
         &self,
         x: &Matrix,
@@ -889,8 +848,7 @@ mod tests {
         for _ in 0..30 {
             bnn.train_epoch(&x, &y, 64);
         }
-        let mut eps = BoxMullerGrng::new(11);
-        let acc_mc = bnn.evaluate_mc(&x, &y, 16, &mut eps);
+        let acc_mc = bnn.evaluate_mc_parallel(&x, &y, 16, &BoxMullerGrng::new(11), 1);
         let acc_mean = bnn.evaluate_mean(&x, &y);
         assert!(
             (acc_mc - acc_mean).abs() < 0.1,
@@ -950,8 +908,8 @@ mod tests {
         let spread = |samples: usize, seed: u64| -> f64 {
             let mut outs = Vec::new();
             for trial in 0..20 {
-                let mut eps = BoxMullerGrng::new(seed + trial);
-                let p = bnn.predict_proba_mc(&x, samples, &mut eps);
+                let eps = BoxMullerGrng::new(seed + trial);
+                let p = bnn.predict_proba_mc_parallel(&x, samples, &eps, 1);
                 outs.push(f64::from(p[(0, 0)]));
             }
             let m: f64 = outs.iter().sum::<f64>() / outs.len() as f64;
@@ -974,8 +932,8 @@ mod tests {
     #[should_panic(expected = "at least one Monte Carlo sample")]
     fn zero_samples_panics() {
         let bnn = Bnn::new(BnnConfig::new(&[2, 2]), 1);
-        let mut eps = BoxMullerGrng::new(1);
-        let _ = bnn.predict_proba_mc(&Matrix::zeros(1, 2), 0, &mut eps);
+        let eps = BoxMullerGrng::new(1);
+        let _ = bnn.predict_proba_mc_parallel(&Matrix::zeros(1, 2), 0, &eps, 1);
     }
 
     // The thread-count bit-identity and `train_batch_mc(1) == train_batch`
@@ -1034,24 +992,5 @@ mod tests {
                 "{threads} threads diverged from 1 thread"
             );
         }
-    }
-
-    #[test]
-    fn parallel_mc_reasonably_agrees_with_serial_mc() {
-        // Different ε assignment (forked substreams vs one continuous
-        // stream), same statistics: class probabilities of a trained model
-        // should land close.
-        let (x, y) = toy_data(128, 33);
-        let mut bnn = Bnn::new(BnnConfig::new(&[2, 8, 2]).with_lr(0.02), 35);
-        for _ in 0..20 {
-            bnn.train_epoch(&x, &y, 32);
-        }
-        let mut serial_eps = BoxMullerGrng::new(41);
-        let serial = bnn.evaluate_mc(&x, &y, 16, &mut serial_eps);
-        let parallel = bnn.evaluate_mc_parallel(&x, &y, 16, &BoxMullerGrng::new(41), 4);
-        assert!(
-            (serial - parallel).abs() < 0.1,
-            "serial {serial} vs parallel {parallel}"
-        );
     }
 }

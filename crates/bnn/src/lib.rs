@@ -16,10 +16,11 @@
 //! use vibnn_grng::BoxMullerGrng;
 //! use vibnn_nn::Matrix;
 //!
-//! let mut bnn = Bnn::new(BnnConfig::new(&[4, 8, 2]), 42);
+//! let bnn = Bnn::new(BnnConfig::new(&[4, 8, 2]), 42);
 //! let x = Matrix::zeros(1, 4);
-//! let mut eps = BoxMullerGrng::new(7);
-//! let probs = bnn.predict_proba_mc(&x, 8, &mut eps);
+//! let eps = BoxMullerGrng::new(7);
+//! // Sample `s` of the 8 draws its ε from `eps.fork(s)`, on one thread.
+//! let probs = bnn.predict_proba_mc_parallel(&x, 8, &eps, 1);
 //! let sum: f32 = probs.row(0).iter().sum();
 //! assert!((sum - 1.0).abs() < 1e-5);
 //! ```

@@ -3,13 +3,15 @@
 //! The paper benchmarks an Intel i7-6700K and an Nvidia GTX 1070 running
 //! the software BNN. Neither device is available here, so this module
 //! provides (a) the paper's published numbers as anchors and (b) a native
-//! measurement of the software BNN on *this* host, with a documented TDP
-//! assumption for the energy figure.
+//! measurement of the software BNN on the measuring host, with a
+//! documented TDP assumption for the energy figure. The measurement runs
+//! single-threaded Monte Carlo inference with the same ε convention as
+//! every other inference path: sample `s` draws from `eps.fork(s)`.
 
 use std::time::Instant;
 
 use vibnn_bnn::Bnn;
-use vibnn_grng::GaussianSource;
+use vibnn_grng::StreamFork;
 use vibnn_nn::Matrix;
 
 /// A throughput/energy point for Table 5.
@@ -46,26 +48,26 @@ pub fn paper_gpu() -> BaselinePoint {
 pub const ASSUMED_HOST_POWER_W: f64 = 91.0;
 
 /// Measures software BNN MC-inference throughput on this host: runs
-/// `images` single-image inferences with `samples` MC samples each and
-/// returns images/s plus an images/J estimate under
-/// [`ASSUMED_HOST_POWER_W`].
+/// `images` single-image inferences with `samples` MC samples each (one
+/// thread, sample `s` on `eps_src.fork(s)`) and returns images/s plus an
+/// images/J estimate under [`ASSUMED_HOST_POWER_W`].
 ///
 /// # Panics
 ///
 /// Panics if `images == 0` or `x` has fewer rows than `images`.
-pub fn measure_native_cpu(
+pub fn measure_native_cpu<S: StreamFork + Sync>(
     bnn: &Bnn,
     x: &Matrix,
     images: usize,
     samples: usize,
-    eps_src: &mut impl GaussianSource,
+    eps_src: &S,
 ) -> BaselinePoint {
     assert!(images > 0, "need at least one image");
     assert!(x.rows() >= images, "not enough rows for requested images");
     let start = Instant::now();
     for r in 0..images {
         let row = x.rows_slice(r, r + 1);
-        let _ = bnn.predict_proba_mc(&row, samples, eps_src);
+        let _ = bnn.predict_proba_mc_parallel(&row, samples, eps_src, 1);
     }
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let ips = images as f64 / secs;
@@ -94,8 +96,7 @@ mod tests {
     fn native_measurement_runs() {
         let bnn = Bnn::new(BnnConfig::new(&[16, 8, 2]), 1);
         let x = Matrix::zeros(4, 16);
-        let mut eps = BoxMullerGrng::new(2);
-        let p = measure_native_cpu(&bnn, &x, 4, 2, &mut eps);
+        let p = measure_native_cpu(&bnn, &x, 4, 2, &BoxMullerGrng::new(2));
         assert!(p.images_per_second > 0.0);
         assert!(p.images_per_joule > 0.0);
     }
@@ -105,7 +106,6 @@ mod tests {
     fn zero_images_panics() {
         let bnn = Bnn::new(BnnConfig::new(&[4, 2]), 1);
         let x = Matrix::zeros(1, 4);
-        let mut eps = BoxMullerGrng::new(1);
-        let _ = measure_native_cpu(&bnn, &x, 0, 1, &mut eps);
+        let _ = measure_native_cpu(&bnn, &x, 0, 1, &BoxMullerGrng::new(1));
     }
 }

@@ -234,8 +234,9 @@ fn mac_layer<A: Accumulator>(
 /// let bnn = Bnn::new(BnnConfig::new(&[4, 8, 2]), 1);
 /// let calib = Matrix::zeros(4, 4);
 /// let q = QuantizedBnn::from_params(&bnn.params(), 8, &calib);
-/// let mut eps = BoxMullerGrng::new(2);
-/// let probs = q.predict_proba_mc(&calib, 4, &mut eps);
+/// let eps = BoxMullerGrng::new(2);
+/// // Sample `s` of the 4 draws its weights from `eps.fork(s)`.
+/// let probs = q.predict_proba_mc_parallel(&calib, 4, &eps, 1);
 /// assert_eq!(probs.cols(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -508,29 +509,7 @@ impl QuantizedBnn {
     }
 
     /// Monte Carlo predictive probabilities on the fixed-point datapath
-    /// (equation 6 with hardware weight sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    pub fn predict_proba_mc(
-        &self,
-        x: &Matrix,
-        samples: usize,
-        eps_src: &mut impl GaussianSource,
-    ) -> Matrix {
-        assert!(samples > 0, "need at least one Monte Carlo sample");
-        let out_dim = self.layers.last().expect("layers").out_dim;
-        let mut acc = Matrix::zeros(x.rows(), out_dim);
-        let mut scratch = McScratch::default();
-        for _ in 0..samples {
-            acc.axpy(1.0, &self.sample_member(x, eps_src, &mut scratch));
-        }
-        acc.scale(1.0 / samples as f32);
-        acc
-    }
-
-    /// Monte Carlo predictive probabilities with the sample ensemble
+    /// (equation 6 with hardware weight sampling), with the ensemble
     /// spread across `threads` `std::thread::scope` workers.
     ///
     /// Mirrors `vibnn_bnn::Bnn::predict_proba_mc_parallel`: sample `s`
@@ -582,18 +561,7 @@ impl QuantizedBnn {
         )
     }
 
-    /// Accuracy under hardware MC inference.
-    pub fn evaluate_mc(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        samples: usize,
-        eps_src: &mut impl GaussianSource,
-    ) -> f64 {
-        vibnn_nn::accuracy(&self.predict_proba_mc(x, samples, eps_src), labels)
-    }
-
-    /// Accuracy under parallel hardware MC inference (see
+    /// Accuracy under hardware MC inference (see
     /// [`Self::predict_proba_mc_parallel`]).
     pub fn evaluate_mc_parallel<S: StreamFork + Sync>(
         &self,
@@ -936,8 +904,7 @@ mod tests {
         let (bnn, x, y) = trained_bnn(3);
         let float_acc = bnn.evaluate_mean(&x, &y);
         let q = QuantizedBnn::from_params(&bnn.params(), 8, &x.rows_slice(0, 64));
-        let mut eps = BoxMullerGrng::new(5);
-        let q_acc = q.evaluate_mc(&x, &y, 8, &mut eps);
+        let q_acc = q.evaluate_mc_parallel(&x, &y, 8, &BoxMullerGrng::new(5), 1);
         assert!(
             q_acc > float_acc - 0.05,
             "8-bit acc {q_acc} vs float {float_acc}"
@@ -949,12 +916,11 @@ mod tests {
         // The Figure 18 mechanism: too few bits destroy accuracy.
         let (bnn, x, y) = trained_bnn(7);
         let calib = x.rows_slice(0, 64);
-        let mut eps_hi = BoxMullerGrng::new(9);
-        let mut eps_lo = BoxMullerGrng::new(9);
+        let eps = BoxMullerGrng::new(9);
         let hi = QuantizedBnn::from_params(&bnn.params(), 8, &calib)
-            .evaluate_mc(&x, &y, 8, &mut eps_hi);
+            .evaluate_mc_parallel(&x, &y, 8, &eps, 1);
         let lo = QuantizedBnn::from_params(&bnn.params(), 3, &calib)
-            .evaluate_mc(&x, &y, 8, &mut eps_lo);
+            .evaluate_mc_parallel(&x, &y, 8, &eps, 1);
         assert!(hi > lo, "8-bit {hi} should beat 3-bit {lo}");
     }
 

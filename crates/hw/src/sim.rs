@@ -36,10 +36,10 @@ pub struct SimStats {
 /// the accelerator spent on it and the energy those cycles dissipate at
 /// the configured clock under the [`crate::power`] system model.
 ///
-/// Produced per row by [`CycleAccelerator::infer_batch_costed`] and
-/// [`CycleAccelerator::infer_forked`]; the per-request cycle counts sum
-/// exactly to the batch-level [`SimStats::cycles`] delta (pinned by a
-/// regression test), so serve-side cost attribution is exact.
+/// Produced per request by [`CycleAccelerator::infer_forked`]; the
+/// per-request cycle counts sum exactly to the [`SimStats::cycles`] delta
+/// over a run of requests (pinned by a regression test), so serve-side
+/// cost attribution is exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestCost {
     /// Clock cycles charged to this request (all its MC samples).
@@ -105,55 +105,6 @@ impl CycleAccelerator {
         self.run_ticked(input, &weights)
     }
 
-    /// Batch mode: runs every row of `inputs` through all configured MC
-    /// samples and returns one row of averaged class probabilities per
-    /// image. Cycle and memory-traffic counters accumulate across the
-    /// whole batch, and the weight generator consumes its ε stream through
-    /// the block API (one [`GaussianSource::fill`] per weight table), just
-    /// as the hardware's batched generators would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` has zero rows or the feature width mismatches.
-    pub fn infer_batch(
-        &mut self,
-        inputs: &vibnn_nn::Matrix,
-        eps_src: &mut impl GaussianSource,
-    ) -> vibnn_nn::Matrix {
-        self.infer_batch_costed(inputs, eps_src).0
-    }
-
-    /// [`Self::infer_batch`] with exact per-request cost attribution:
-    /// alongside the probability matrix it returns one [`RequestCost`]
-    /// per input row. Outputs are bit-identical to `infer_batch` (same
-    /// loop, same ε stream order), and the per-row cycle counts sum to
-    /// the batch's total [`SimStats::cycles`] delta exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` has zero rows or the feature width mismatches.
-    pub fn infer_batch_costed(
-        &mut self,
-        inputs: &vibnn_nn::Matrix,
-        eps_src: &mut impl GaussianSource,
-    ) -> (vibnn_nn::Matrix, Vec<RequestCost>) {
-        assert!(inputs.rows() > 0, "need at least one image");
-        let classes = *self.qbnn.layer_sizes().last().expect("sizes");
-        let mut out = vibnn_nn::Matrix::zeros(inputs.rows(), classes);
-        let mut costs = Vec::with_capacity(inputs.rows());
-        for r in 0..inputs.rows() {
-            let before = self.stats.cycles;
-            let probs = self.infer(inputs.row(r), eps_src);
-            out.row_mut(r).copy_from_slice(&probs);
-            let cycles = self.stats.cycles - before;
-            costs.push(RequestCost {
-                cycles,
-                energy_nj: self.energy_nj(cycles),
-            });
-        }
-        (out, costs)
-    }
-
     /// Serving entry point: runs one image through all configured MC
     /// samples where sample `s` draws its weights from the substream
     /// `eps.fork(s)` — the same per-sample forking convention the
@@ -174,9 +125,7 @@ impl CycleAccelerator {
         let mut acc = vec![0.0f64; classes];
         let mut members = Vec::with_capacity(self.cfg.mc_samples);
         for s in 0..self.cfg.mc_samples {
-            let mut eps_s = eps.fork(s as u64);
-            let logits = self.infer_sample(input, &mut eps_s);
-            let probs = softmax(&logits);
+            let probs = self.infer_sample_forked(input, s as u64, eps);
             for (a, &p) in acc.iter_mut().zip(&probs) {
                 *a += p;
             }
@@ -229,23 +178,6 @@ impl CycleAccelerator {
     pub fn energy_nj(&self, cycles: u64) -> f64 {
         // seconds = cycles / (clock_mhz * 1e6); nJ = seconds * W * 1e9.
         cycles as f64 * self.power_w() * 1e3 / self.cfg.clock_mhz
-    }
-
-    /// Runs one image through all configured MC samples and returns the
-    /// averaged class probabilities.
-    pub fn infer(&mut self, input: &[f32], eps_src: &mut impl GaussianSource) -> Vec<f32> {
-        let classes = *self.qbnn.layer_sizes().last().expect("sizes");
-        let mut acc = vec![0.0f64; classes];
-        for _ in 0..self.cfg.mc_samples {
-            let logits = self.infer_sample(input, eps_src);
-            let probs = softmax(&logits);
-            for (a, p) in acc.iter_mut().zip(probs) {
-                *a += p;
-            }
-        }
-        acc.iter()
-            .map(|&v| (v / self.cfg.mc_samples as f64) as f32)
-            .collect()
     }
 
     /// The ticked execution of one sample with explicit weights. Numeric
@@ -402,9 +334,9 @@ mod tests {
     fn full_inference_counts_all_samples() {
         let (mut sim, _, calib) = deployed(3);
         let sched = Schedule::new(&small_cfg(), &[12, 16, 3]);
-        let mut eps = BoxMullerGrng::new(9);
-        let probs = sim.infer(calib.row(0), &mut eps);
+        let (probs, _, cost) = sim.infer_forked(calib.row(0), &BoxMullerGrng::new(9));
         assert_eq!(sim.stats().cycles, sched.cycles_per_image());
+        assert_eq!(cost.cycles, sched.cycles_per_image());
         let sum: f32 = probs.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
     }
@@ -444,22 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_inference_matches_per_image_runs() {
-        let (mut sim, _, calib) = deployed(8);
-        let mut batch_sim = sim.clone();
-        let mut eps_a = BoxMullerGrng::new(19);
-        let mut eps_b = BoxMullerGrng::new(19);
-        let batch = batch_sim.infer_batch(&calib, &mut eps_a);
-        assert_eq!((batch.rows(), batch.cols()), (calib.rows(), 3));
-        for r in 0..calib.rows() {
-            let single = sim.infer(calib.row(r), &mut eps_b);
-            assert_eq!(batch.row(r), &single[..], "image {r} diverged");
-        }
-        // Counters accumulate over the whole batch.
-        assert_eq!(batch_sim.stats(), sim.stats());
-    }
-
-    #[test]
     fn parallel_hw_mc_is_bit_identical_across_thread_counts() {
         let (_, q, calib) = deployed(9);
         let eps = BoxMullerGrng::new(23);
@@ -476,10 +392,11 @@ mod tests {
     #[test]
     fn per_request_costs_sum_to_batch_total() {
         let (mut sim, _, calib) = deployed(10);
-        let mut eps = BoxMullerGrng::new(29);
+        let eps = BoxMullerGrng::new(29);
         let before = sim.stats().cycles;
-        let (out, costs) = sim.infer_batch_costed(&calib, &mut eps);
-        assert_eq!(costs.len(), calib.rows());
+        let costs: Vec<RequestCost> = (0..calib.rows())
+            .map(|r| sim.infer_forked(calib.row(r), &eps).2)
+            .collect();
         let total = sim.stats().cycles - before;
         let summed: u64 = costs.iter().map(|c| c.cycles).sum();
         assert_eq!(summed, total, "per-request cycles must sum to batch total");
@@ -491,10 +408,6 @@ mod tests {
             "energy sum {energy_summed} vs batch {energy_total}"
         );
         assert!(costs.iter().all(|c| c.cycles > 0 && c.energy_nj > 0.0));
-        // Costed output is the batch output (same loop, same eps order).
-        let mut plain = CycleAccelerator::new(small_cfg(), sim.network().clone());
-        let reference = plain.infer_batch(&calib, &mut BoxMullerGrng::new(29));
-        assert_eq!(out.data(), reference.data());
     }
 
     #[test]

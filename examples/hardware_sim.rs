@@ -33,8 +33,8 @@ fn main() {
     println!("  PE utilization: {:.1}%", 100.0 * sched.utilization());
 
     let mut sim = CycleAccelerator::new(cfg.clone(), q);
-    let mut eps = BnnWallaceGrng::new(8, 256, 5);
-    let probs = sim.infer(calib.row(0), &mut eps);
+    let eps = BnnWallaceGrng::new(8, 256, 5);
+    let (probs, _, _) = sim.infer_forked(calib.row(0), &eps);
     let s = sim.stats();
     println!("\none image, cycle-accurate:");
     println!("  cycles {}  MACs {}  eps consumed {}", s.cycles, s.macs, s.eps_consumed);

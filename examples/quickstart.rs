@@ -36,9 +36,10 @@ fn main() {
 
     // 4. Classify the test set on the hardware datapath, eps from the
     //    BNNWallace-GRNG exactly as the weight generator would.
-    let mut eps = BnnWallaceGrng::new(8, 256, 11);
+    //    Monte Carlo sample `s` draws from the substream `eps.fork(s)`.
+    let eps = BnnWallaceGrng::new(8, 256, 11);
     let sw_acc = bnn.evaluate_mean(&ds.test_x, &ds.test_y);
-    let hw_acc = accel.evaluate(&ds.test_x, &ds.test_y, &mut eps);
+    let hw_acc = accel.evaluate_parallel(&ds.test_x, &ds.test_y, &eps, 1);
     println!("\nsoftware BNN accuracy: {sw_acc:.4}");
     println!("VIBNN hardware accuracy: {hw_acc:.4}");
 

@@ -24,9 +24,9 @@ fn main() {
         let fr = fnn.train_epoch(&ds.train_x, &ds.train_y, 16);
         let br = bnn.train_epoch(&ds.train_x, &ds.train_y, 16);
         if epoch % 5 == 0 {
-            let mut eps = BoxMullerGrng::new(epoch as u64);
+            let eps = BoxMullerGrng::new(epoch as u64);
             let f_test = fnn.evaluate(&ds.test_x, &ds.test_y);
-            let b_test = bnn.evaluate_mc(&ds.test_x, &ds.test_y, 8, &mut eps);
+            let b_test = bnn.evaluate_mc_parallel(&ds.test_x, &ds.test_y, 8, &eps, 1);
             println!(
                 "{epoch:5} | {:9.3} | {f_test:8.3} | {:9.3} | {b_test:8.3}",
                 fr.accuracy, br.accuracy

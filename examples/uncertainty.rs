@@ -38,9 +38,11 @@ fn main() {
         .build()
         .expect("valid deployment");
 
-    let mut eps = BnnWallaceGrng::new(8, 256, 9);
+    // Monte Carlo sample `s` draws its weights from `eps.fork(s)`, so both
+    // input sets below are scored by the same ensemble of weight samples.
+    let eps = BnnWallaceGrng::new(8, 256, 9);
     // In-distribution: test images.
-    let in_probs = accel.predict_proba(&ds.test_x.rows_slice(0, 50), &mut eps);
+    let in_probs = accel.predict_proba_parallel(&ds.test_x.rows_slice(0, 50), &eps, 1);
     let in_entropy: f64 =
         (0..50).map(|r| entropy(in_probs.row(r))).sum::<f64>() / 50.0;
 
@@ -49,7 +51,7 @@ fn main() {
     for (i, v) in noise.data_mut().iter_mut().enumerate() {
         *v = ((i * 2_654_435_761) % 1000) as f32 / 1000.0;
     }
-    let ood_probs = accel.predict_proba(&noise, &mut eps);
+    let ood_probs = accel.predict_proba_parallel(&noise, &eps, 1);
     let ood_entropy: f64 =
         (0..50).map(|r| entropy(ood_probs.row(r))).sum::<f64>() / 50.0;
 

@@ -1,7 +1,7 @@
 //! High-level API: train → quantize → deploy → infer.
 
 use vibnn_bnn::{Bnn, BnnParams, TrainSchedule};
-use vibnn_grng::{GaussianSource, GrngKind, StreamFork};
+use vibnn_grng::{GrngKind, StreamFork};
 use vibnn_hw::{AcceleratorConfig, CycleAccelerator, QuantizedBnn, ResourceModel, Schedule};
 use vibnn_nn::Matrix;
 
@@ -311,21 +311,12 @@ impl Vibnn {
         self.default_policy
     }
 
-    /// Batch prediction on the functional fixed-point datapath
-    /// (bit-identical to the cycle simulator, but vectorized).
-    pub fn predict_proba(&self, x: &Matrix, eps: &mut impl GaussianSource) -> Matrix {
-        self.qbnn.predict_proba_mc(x, self.mc_samples, eps)
-    }
-
-    /// Accuracy on a labelled set.
-    pub fn evaluate(&self, x: &Matrix, y: &[usize], eps: &mut impl GaussianSource) -> f64 {
-        self.qbnn.evaluate_mc(x, y, self.mc_samples, eps)
-    }
-
-    /// Batch prediction with the Monte Carlo ensemble spread across
-    /// worker threads (`threads == 0` honours `VIBNN_THREADS`). Sample `s`
-    /// draws from `eps.fork(s)`, so results are bit-identical for every
-    /// thread count.
+    /// Batch prediction on the functional fixed-point datapath, with the
+    /// Monte Carlo ensemble spread across worker threads (`threads == 0`
+    /// honours `VIBNN_THREADS`). Sample `s` draws from `eps.fork(s)`, so
+    /// results are bit-identical for every thread count, and each row
+    /// matches [`CycleAccelerator::infer_forked`] on the cycle simulator
+    /// to float rounding.
     pub fn predict_proba_parallel<S: StreamFork + Sync>(
         &self,
         x: &Matrix,
@@ -336,7 +327,7 @@ impl Vibnn {
             .predict_proba_mc_parallel(x, self.mc_samples, eps, threads)
     }
 
-    /// Accuracy on a labelled set under parallel MC inference.
+    /// Accuracy on a labelled set (see [`Self::predict_proba_parallel`]).
     pub fn evaluate_parallel<S: StreamFork + Sync>(
         &self,
         x: &Matrix,
@@ -348,27 +339,9 @@ impl Vibnn {
             .evaluate_mc_parallel(x, y, self.mc_samples, eps, threads)
     }
 
-    /// Cycle-accurate batch inference (see
-    /// [`vibnn_hw::CycleAccelerator::infer_batch`]).
-    pub fn infer_batch_cycle_accurate(
-        &mut self,
-        inputs: &Matrix,
-        eps: &mut impl GaussianSource,
-    ) -> Matrix {
-        self.sim.infer_batch(inputs, eps)
-    }
-
-    /// Cycle-accurate single-image inference (slower; counts cycles and
-    /// memory traffic in [`CycleAccelerator::stats`]).
-    pub fn infer_cycle_accurate(
-        &mut self,
-        input: &[f32],
-        eps: &mut impl GaussianSource,
-    ) -> Vec<f32> {
-        self.sim.infer(input, eps)
-    }
-
-    /// The cycle simulator.
+    /// The cycle simulator. Cycle-accurate inference of one row is
+    /// `simulator().infer_forked(row, &eps)`, which also counts cycles and
+    /// memory traffic in [`CycleAccelerator::stats`].
     pub fn simulator(&mut self) -> &mut CycleAccelerator {
         &mut self.sim
     }
@@ -457,7 +430,7 @@ pub fn train_and_deploy(
 mod tests {
     use super::*;
     use vibnn_bnn::BnnConfig;
-    use vibnn_grng::BoxMullerGrng;
+    use vibnn_grng::{BnnWallaceGrng, BoxMullerGrng, ParallelRlfGrng};
 
     #[test]
     fn builder_end_to_end() {
@@ -472,8 +445,7 @@ mod tests {
         assert_eq!(accel.classes(), 3);
         assert_eq!(accel.input_dim(), 8);
         assert_eq!(accel.mc_samples(), 4);
-        let mut eps = BoxMullerGrng::new(2);
-        let probs = accel.predict_proba(&calib, &mut eps);
+        let probs = accel.predict_proba_parallel(&calib, &BoxMullerGrng::new(2), 1);
         assert_eq!((probs.rows(), probs.cols()), (4, 3));
         assert!(accel.images_per_second() > 0.0);
         assert!(accel.power_w() > 0.0);
@@ -490,13 +462,17 @@ mod tests {
             .calibration(calib.clone())
             .build()
             .expect("valid deployment");
-        let mut eps_a = BoxMullerGrng::new(5);
-        let mut eps_b = BoxMullerGrng::new(5);
-        let functional = accel.predict_proba(&calib.rows_slice(0, 1), &mut eps_a);
-        let ticked = accel.infer_cycle_accurate(calib.row(0), &mut eps_b);
-        for (c, &p) in functional.row(0).iter().enumerate() {
-            assert!((ticked[c] - p).abs() < 1e-5, "class {c}: {} vs {p}", ticked[c]);
+        fn check<S: StreamFork + Sync>(accel: &mut Vibnn, x: &Matrix, eps: &S) {
+            let f = accel.predict_proba_parallel(x, eps, 1);
+            let (t, _, _) = accel.simulator().infer_forked(x.row(0), eps);
+            for (c, &p) in f.row(0).iter().enumerate() {
+                assert!((t[c] - p).abs() < 1e-5, "class {c}: {} vs {p}", t[c]);
+            }
         }
+        let x = calib.rows_slice(0, 1);
+        check(&mut accel, &x, &BoxMullerGrng::new(5));
+        check(&mut accel, &x, &ParallelRlfGrng::new(64, 5));
+        check(&mut accel, &x, &BnnWallaceGrng::new(4, 64, 5));
     }
 
     #[test]

@@ -75,12 +75,12 @@ fn vibnn_predicts_with_both_paper_grngs() {
         .expect("valid deployment");
     let x = Matrix::zeros(3, 6);
 
-    let mut rlf = ParallelRlfGrng::new(4, 11);
-    let proba = accel.predict_proba(&x, &mut rlf);
+    let rlf = ParallelRlfGrng::new(4, 11);
+    let proba = accel.predict_proba_parallel(&x, &rlf, 1);
     assert_eq!((proba.rows(), proba.cols()), (3, 2));
 
-    let mut wallace = BnnWallaceGrng::new(2, 64, 13);
-    let proba = accel.predict_proba(&x, &mut wallace);
+    let wallace = BnnWallaceGrng::new(2, 64, 13);
+    let proba = accel.predict_proba_parallel(&x, &wallace, 1);
     assert_eq!((proba.rows(), proba.cols()), (3, 2));
 }
 
@@ -90,8 +90,7 @@ fn train_and_deploy_round_trip() {
     let y: Vec<usize> = (0..8).map(|i| i % 2).collect();
     let (trained, accel) = train_and_deploy(tiny_bnn(), &x, &y, 1, 4).expect("deploy");
     assert_eq!(trained.params().layer_sizes(), &[6, 3, 2]);
-    let mut eps = ParallelRlfGrng::new(4, 3);
-    let acc = accel.evaluate(&x, &y, &mut eps);
+    let acc = accel.evaluate_parallel(&x, &y, &ParallelRlfGrng::new(4, 3), 1);
     assert!((0.0..=1.0).contains(&acc));
 }
 
@@ -200,9 +199,10 @@ fn hw_re_exports_construct() {
     let bnn = tiny_bnn();
     let q = QuantizedBnn::from_params(&bnn.params(), 8, &Matrix::zeros(4, 6));
     let mut sim = CycleAccelerator::new(cfg, q);
-    let mut eps = BnnWallaceGrng::new(2, 64, 5);
-    let out = sim.infer(Matrix::zeros(1, 6).row(0), &mut eps);
+    let eps = BnnWallaceGrng::new(2, 64, 5);
+    let (out, members, _) = sim.infer_forked(Matrix::zeros(1, 6).row(0), &eps);
     assert_eq!(out.len(), 2);
+    assert_eq!(members.len(), sim.config().mc_samples);
 }
 
 #[test]

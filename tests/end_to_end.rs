@@ -3,8 +3,9 @@
 
 use vibnn::bnn::{Bnn, BnnConfig};
 use vibnn::datasets::parkinson_original;
-use vibnn::grng::{BnnWallaceGrng, BoxMullerGrng};
-use vibnn::VibnnBuilder;
+use vibnn::grng::{BnnWallaceGrng, BoxMullerGrng, ParallelRlfGrng, StreamFork};
+use vibnn::nn::Matrix;
+use vibnn::{Vibnn, VibnnBuilder};
 
 #[test]
 fn train_quantize_deploy_parkinson() {
@@ -25,8 +26,8 @@ fn train_quantize_deploy_parkinson() {
         .calibration(ds.train_x.rows_slice(0, 64))
         .build()
         .expect("valid deployment");
-    let mut eps = BnnWallaceGrng::new(8, 256, 3);
-    let hw = accel.evaluate(&ds.test_x, &ds.test_y, &mut eps);
+    let eps = BnnWallaceGrng::new(8, 256, 3);
+    let hw = accel.evaluate_parallel(&ds.test_x, &ds.test_y, &eps, 1);
     assert!(
         hw > sw - 0.1,
         "hardware accuracy {hw} degraded too far from software {sw}"
@@ -45,14 +46,20 @@ fn cycle_accurate_equals_functional_on_trained_network() {
         .calibration(ds.train_x.rows_slice(0, 32))
         .build()
         .expect("valid deployment");
-    for r in 0..5 {
-        let mut eps_a = BoxMullerGrng::new(100 + r as u64);
-        let mut eps_b = BoxMullerGrng::new(100 + r as u64);
-        let f = accel.predict_proba(&ds.test_x.rows_slice(r, r + 1), &mut eps_a);
-        let t = accel.infer_cycle_accurate(ds.test_x.row(r), &mut eps_b);
+    // Sample `s` draws from `eps.fork(s)` on both paths, so the functional
+    // and ticked datapaths see the same weights.
+    fn check<S: StreamFork + Sync>(accel: &mut Vibnn, x: &Matrix, r: usize, eps: &S) {
+        let f = accel.predict_proba_parallel(x, eps, 1);
+        let (t, _, _) = accel.simulator().infer_forked(x.row(0), eps);
         for (c, &p) in f.row(0).iter().enumerate() {
             assert!((t[c] - p).abs() < 1e-5, "row {r} class {c}: {} vs {p}", t[c]);
         }
+    }
+    for r in 0..5 {
+        let (x, seed) = (ds.test_x.rows_slice(r, r + 1), 100 + r as u64);
+        check(&mut accel, &x, r, &BoxMullerGrng::new(seed));
+        check(&mut accel, &x, r, &ParallelRlfGrng::new(64, seed));
+        check(&mut accel, &x, r, &BnnWallaceGrng::new(8, 256, seed));
     }
 }
 
