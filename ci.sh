@@ -32,6 +32,9 @@ VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_mc_samples
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_grng.json" \
     cargo run --release -p vibnn_bench --bin bench_grng
 
+echo "==> ingest example (decodes the Metrics frame over real sockets; skips itself where sockets are unavailable)"
+cargo run --release --example ingest
+
 echo "==> VIBNN_SCALE=quick training-engine bench (machine-readable, asserts bit-identity)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_train.json" \
     cargo run --release -p vibnn_bench --bin bench_train

@@ -359,6 +359,12 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
+    /// Bytes left unread — the bound a decoder checks a length field
+    /// against before it reserves memory for that many items.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.bytes(1)?[0])

@@ -85,16 +85,17 @@ fn main() -> Result<(), VibnnError> {
     }
 
     let metrics = batch_client.metrics()?;
+    let count = |name| metrics.count(name).expect("the server reports every count");
     println!(
         "served {} requests over TCP ({} interactive / {} batch): accuracy {:.3}, \
          {} deadline-expired, {} protocol errors, {} connections total",
-        metrics.served,
-        metrics.served_interactive,
-        metrics.served_batch,
+        count("served"),
+        count("served_interactive"),
+        count("served_batch"),
         correct as f64 / (n - expired) as f64,
-        metrics.deadline_expired,
-        metrics.protocol_errors,
-        metrics.connections_total
+        count("deadline_expired"),
+        count("protocol_errors"),
+        count("connections_total")
     );
 
     // Wind down: the server hands the intact cluster back.

@@ -71,11 +71,9 @@ use crate::{Vibnn, VibnnError};
 /// use vibnn::backend::BackendKind;
 ///
 /// assert_eq!(BackendKind::default(), BackendKind::Quantized);
-/// // Kinds travel over the ingest wire as one byte.
-/// for kind in [BackendKind::Software, BackendKind::Quantized, BackendKind::Cycle] {
-///     assert_eq!(BackendKind::from_code(kind.code()), Some(kind));
-/// }
-/// assert_eq!(BackendKind::from_code(9), None);
+/// // Kinds travel over the ingest wire as the `backend` label of
+/// // per-replica metrics.
+/// assert_eq!(BackendKind::Cycle.to_string(), "cycle");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
@@ -89,25 +87,6 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Stable one-byte wire code (ingest metrics, checkpoint-free).
-    pub fn code(self) -> u8 {
-        match self {
-            BackendKind::Software => 0,
-            BackendKind::Quantized => 1,
-            BackendKind::Cycle => 2,
-        }
-    }
-
-    /// Inverse of [`Self::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(BackendKind::Software),
-            1 => Some(BackendKind::Quantized),
-            2 => Some(BackendKind::Cycle),
-            _ => None,
-        }
-    }
-
     /// Instantiates this backend for a deployment. The returned object
     /// is what a [`crate::serve::ServeEngine`] dispatches micro-batches
     /// through.
@@ -719,16 +698,15 @@ mod tests {
     }
 
     #[test]
-    fn kinds_round_trip_codes_and_default_is_quantized() {
+    fn kinds_have_stable_labels_and_default_is_quantized() {
         assert_eq!(BackendKind::default(), BackendKind::Quantized);
-        for kind in [
+        let labels = [
             BackendKind::Software,
             BackendKind::Quantized,
             BackendKind::Cycle,
-        ] {
-            assert_eq!(BackendKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(BackendKind::from_code(0xFF), None);
+        ]
+        .map(|kind| kind.to_string());
+        assert_eq!(labels, ["software", "quantized", "cycle"]);
     }
 
     #[test]

@@ -103,12 +103,12 @@ pub struct ClusterConfig {
     /// The [`BackendKind`] every replica dispatches through. `None`
     /// (the default) honours the deployment's default backend. For a
     /// *mixed* pool — different backends per replica — use
-    /// [`ClusterEngine::with_backends`].
+    /// [`ClusterEngine::with_slots`].
     pub backend: Option<BackendKind>,
     /// The [`PolicySpec`] every replica samples under. `None` (the
     /// default) honours the deployment's default policy. For a *mixed*
     /// pool — different policies per replica — use
-    /// [`ClusterEngine::with_policies`]. Spill never crosses a policy
+    /// [`ClusterEngine::with_slots`]. Spill never crosses a policy
     /// boundary, so every answer is attributable to exactly one
     /// `(version, backend, policy)` triple.
     pub policy: Option<PolicySpec>,
@@ -661,77 +661,38 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
     pub fn with_eps(vibnn: Vibnn, cfg: ClusterConfig, eps: S) -> Result<Self, VibnnError> {
         let kind = cfg.backend.unwrap_or_else(|| vibnn.default_backend());
         let policy = cfg.policy.unwrap_or_else(|| vibnn.default_policy());
-        let slots = vec![(kind, policy); cfg.replicas];
-        Self::with_slots(vibnn, cfg, eps, slots)
+        Self::with_slots(vibnn, cfg, eps, &vec![(kind, policy); cfg.replicas])
     }
 
     /// Builds a **mixed pool**: replica `i` dispatches through
-    /// `backends[i]`. The router is unchanged (home replica is still
-    /// `id mod replicas`), but spill is restricted to replicas of the
-    /// same checkpoint fingerprint, backend kind, *and* sampling
-    /// policy, so every answer is attributable to exactly one
-    /// `(version, backend, policy)` triple. `backends` must have
-    /// exactly `cfg.replicas` entries; `cfg.backend` is ignored (every
-    /// replica samples under `cfg.policy` / the deployment default).
+    /// `slots[i].0` and samples under `slots[i].1` — e.g. quantized
+    /// replicas fronting one cycle replica for hardware shadowing, or an
+    /// early-exit pool beside one [`PolicySpec::ExactN`] canary. The
+    /// router is unchanged (home replica is still `id mod replicas`),
+    /// but spill is restricted to replicas of the same checkpoint
+    /// fingerprint, backend kind, *and* sampling policy, so every answer
+    /// is attributable to exactly one `(version, backend, policy)`
+    /// triple. `slots` must have exactly `cfg.replicas` entries;
+    /// `cfg.backend` and `cfg.policy` are ignored.
     ///
     /// # Errors
     ///
     /// [`VibnnError::BadServeConfig`] if `replicas`, `max_batch`, or
-    /// `max_queue` is 0, or `backends.len() != cfg.replicas`.
-    pub fn with_backends(
+    /// `max_queue` is 0, `slots.len() != cfg.replicas`, or any policy
+    /// fails [`PolicySpec::validate`].
+    pub fn with_slots(
         vibnn: Vibnn,
         cfg: ClusterConfig,
         eps: S,
-        backends: &[BackendKind],
-    ) -> Result<Self, VibnnError> {
-        if backends.len() != cfg.replicas {
-            return Err(VibnnError::BadServeConfig(
-                "one backend kind per replica required",
-            ));
-        }
-        let policy = cfg.policy.unwrap_or_else(|| vibnn.default_policy());
-        let slots = backends.iter().map(|&k| (k, policy)).collect();
-        Self::with_slots(vibnn, cfg, eps, slots)
-    }
-
-    /// Builds a **mixed-policy pool**: replica `i` samples under
-    /// `policies[i]` (all through the same backend, `cfg.backend` / the
-    /// deployment default). Useful for canarying an adaptive policy on
-    /// part of the pool while the rest stays on the pinned
-    /// [`PolicySpec::ExactN`] reference. Spill never crosses a policy
-    /// boundary, so the two halves stay exactly attributable.
-    /// `policies` must have exactly `cfg.replicas` entries;
-    /// `cfg.policy` is ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`VibnnError::BadServeConfig`] if `replicas`, `max_batch`, or
-    /// `max_queue` is 0, `policies.len() != cfg.replicas`, or any
-    /// policy fails [`PolicySpec::validate`].
-    pub fn with_policies(
-        vibnn: Vibnn,
-        cfg: ClusterConfig,
-        eps: S,
-        policies: &[PolicySpec],
-    ) -> Result<Self, VibnnError> {
-        if policies.len() != cfg.replicas {
-            return Err(VibnnError::BadServeConfig(
-                "one sampling policy per replica required",
-            ));
-        }
-        let kind = cfg.backend.unwrap_or_else(|| vibnn.default_backend());
-        let slots = policies.iter().map(|&p| (kind, p)).collect();
-        Self::with_slots(vibnn, cfg, eps, slots)
-    }
-
-    fn with_slots(
-        vibnn: Vibnn,
-        cfg: ClusterConfig,
-        eps: S,
-        slots: Vec<(BackendKind, PolicySpec)>,
+        slots: &[(BackendKind, PolicySpec)],
     ) -> Result<Self, VibnnError> {
         if cfg.replicas == 0 {
             return Err(VibnnError::BadServeConfig("replicas must be positive"));
+        }
+        if slots.len() != cfg.replicas {
+            return Err(VibnnError::BadServeConfig(
+                "one (backend, policy) slot per replica required",
+            ));
         }
         let serve_cfg = ServeConfig {
             max_batch: cfg.max_batch,
@@ -745,10 +706,10 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
         let mc_samples = vibnn.mc_samples();
         let clock_mhz = vibnn.config().clock_mhz;
         let fingerprint = checkpoint_fingerprint(&vibnn);
-        // Build every replica engine up front so a bad config fails before
-        // any thread spawns.
+        // Build every replica engine up front so a bad config (a slot's
+        // policy included) fails before any thread spawns.
         let mut engines = Vec::with_capacity(cfg.replicas);
-        for &(kind, policy) in &slots {
+        for &(kind, policy) in slots {
             engines.push(ServeEngine::with_eps(
                 vibnn.clone(),
                 ServeConfig {
@@ -1509,6 +1470,35 @@ mod tests {
                 Err(VibnnError::BadServeConfig(_))
             ));
         }
+    }
+
+    #[test]
+    fn mixed_slots_are_checked_per_replica() {
+        let cfg = ClusterConfig {
+            replicas: 2,
+            ..ClusterConfig::default()
+        };
+        let eps = || ZigguratGrng::new(5);
+        let exact = (BackendKind::Quantized, PolicySpec::ExactN);
+        let never_stops = (
+            BackendKind::Software,
+            PolicySpec::EarlyExit {
+                k: 0,
+                min_samples: 1,
+            },
+        );
+        for slots in [&[exact][..], &[exact; 3], &[exact, never_stops]] {
+            assert!(matches!(
+                ClusterEngine::with_slots(tiny_vibnn(1), cfg, eps(), slots),
+                Err(VibnnError::BadServeConfig(_))
+            ));
+        }
+        let cycle = (BackendKind::Cycle, PolicySpec::ExactN);
+        let cluster = ClusterEngine::with_slots(tiny_vibnn(1), cfg, eps(), &[exact, cycle]).unwrap();
+        let m = cluster.metrics();
+        assert_eq!(m.replicas[0].backend, BackendKind::Quantized);
+        assert_eq!(m.replicas[1].backend, BackendKind::Cycle);
+        assert!(cluster.shutdown().is_empty());
     }
 
     #[test]

@@ -28,6 +28,15 @@
 //! `0x10..=0x13`, reply kinds `0x20..=0x23` plus `0x2F` for typed
 //! errors — see the `KIND_*` constants.
 //!
+//! # Metrics
+//!
+//! A [`Request::Metrics`] is answered with a [`MetricsFrame`]: named
+//! values, each a count, a gauge or a bucket vector, some of them
+//! labelled (the per-replica costs carry `replica` and `backend`).
+//! [`IngestMetrics::frame`] is the one list of them; the codec writes
+//! every frame the same generic way, so adding a metric never touches
+//! it.
+//!
 //! # Deadlines and lanes
 //!
 //! A request carries a [`Priority`] lane byte and a deadline in
@@ -65,8 +74,8 @@ use vibnn_bnn::checkpoint::{read_frame, write_frame, WireReader, WireWriter, MAX
 use vibnn_bnn::CheckpointError;
 use vibnn_grng::{StreamFork, ZigguratGrng};
 
-use crate::backend::{BackendCost, BackendKind};
-use crate::cluster::{ClusterEngine, Priority, SubmitOptions};
+use crate::backend::BackendCost;
+use crate::cluster::{ClusterEngine, ClusterMetrics, Priority, SubmitOptions};
 use crate::serve::ServeResult;
 use crate::VibnnError;
 
@@ -141,7 +150,7 @@ pub enum Request {
         /// Row-major feature rows.
         features: Vec<f32>,
     },
-    /// Fetch an [`IngestMetrics`] snapshot.
+    /// Fetch a [`MetricsFrame`] snapshot.
     Metrics {
         /// Client correlation tag, echoed in the reply.
         tag: u64,
@@ -189,7 +198,7 @@ pub enum Reply {
         /// Echo of the request tag.
         tag: u64,
         /// The snapshot.
-        metrics: IngestMetrics,
+        metrics: MetricsFrame,
     },
     /// Acknowledgement of a [`Request::Shutdown`]; the server stops
     /// accepting once this is sent.
@@ -244,7 +253,8 @@ pub enum WireError {
         got: u64,
     },
     /// A risk-tiered sampling policy refused to answer, exactly like
-    /// [`VibnnError::Abstained`].
+    /// [`VibnnError::Abstained`]; the decoder refuses payloads that do
+    /// not fit its `u32` fields.
     Abstained {
         /// Monte Carlo samples spent before abstaining.
         samples_used: u64,
@@ -335,30 +345,60 @@ impl WireError {
     }
 }
 
-/// A point-in-time server + cluster counters snapshot, served over the
-/// wire by [`Request::Metrics`].
+/// One metric's value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MetricValue {
+    /// A cumulative or instantaneous integer count.
+    Count(u64),
+    /// A real-valued reading (a mean, or energy in nanojoules).
+    Gauge(f64),
+    /// A histogram's bucket counts, in bucket order.
+    Buckets(Vec<u64>),
+}
+
+/// One named value of a [`MetricsFrame`]; `labels` are `(key, value)`
+/// pairs telling apart values of the same name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// The metric's name.
+    pub name: String,
+    /// `(key, value)` labels; empty for a server-wide value.
+    pub labels: Vec<(String, String)>,
+    /// The value.
+    pub value: MetricValue,
+}
+
+/// A self-describing metrics snapshot: what a [`Request::Metrics`] is
+/// answered with. Built by [`IngestMetrics::frame`].
 #[derive(Debug, Clone, PartialEq, Default)]
+pub struct MetricsFrame(pub Vec<Metric>);
+
+impl MetricsFrame {
+    /// The unlabelled value named `name`.
+    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+        self.0
+            .iter()
+            .find(|m| m.name == name && m.labels.is_empty())
+            .map(|m| &m.value)
+    }
+
+    /// The unlabelled count named `name`; `None` if it is absent or not
+    /// a [`MetricValue::Count`].
+    pub fn count(&self, name: &str) -> Option<u64> {
+        match self.get(name) {
+            Some(MetricValue::Count(v)) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+/// A point-in-time server + cluster snapshot; its
+/// [`frame`](Self::frame) is what the wire's [`Request::Metrics`]
+/// reply carries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestMetrics {
-    /// Requests queued cluster-wide right now.
-    pub queued: u64,
-    /// The cluster queue capacity.
-    pub capacity: u64,
-    /// Requests the cluster accepted since start.
-    pub submitted: u64,
-    /// Requests served since start.
-    pub served: u64,
-    /// Served requests admitted on the interactive lane.
-    pub served_interactive: u64,
-    /// Served requests admitted on the batch lane.
-    pub served_batch: u64,
-    /// Submissions refused with queue-full backpressure.
-    pub rejected: u64,
-    /// Requests failed by an expired deadline.
-    pub deadline_expired: u64,
-    /// Requests cancelled at shutdown.
-    pub cancelled: u64,
-    /// Replicas with a live dispatcher.
-    pub replicas_alive: u64,
+    /// The cluster's own snapshot.
+    pub cluster: ClusterMetrics,
     /// Client connections open right now.
     pub connections_open: u64,
     /// Client connections accepted since start.
@@ -367,34 +407,66 @@ pub struct IngestMetrics {
     pub requests_decoded: u64,
     /// Malformed frames or envelopes seen since start.
     pub protocol_errors: u64,
-    /// Served requests inside the cluster's uncertainty window right now
-    /// (see [`crate::cluster::UncertaintyStats`]).
-    pub uncertainty_count: u64,
-    /// Windowed mean predictive entropy (nats) of served requests.
-    pub entropy_mean: f64,
-    /// Windowed mean Monte-Carlo spread of served requests.
-    pub mc_std_mean: f64,
-    /// Cumulative normalized-entropy histogram,
-    /// [`crate::cluster::ENTROPY_BUCKETS`] buckets.
-    pub entropy_histogram: Vec<u64>,
-    /// Cumulative [`BackendCost`] across every replica — zero
-    /// cycles/energy while only host backends serve.
-    pub cost: BackendCost,
-    /// Per-replica `(backend kind, cumulative cost)` pairs, in replica
-    /// order.
-    pub replica_costs: Vec<(BackendKind, BackendCost)>,
-    /// Total Monte Carlo samples across served requests (see
-    /// [`crate::cluster::SamplingStats`]).
-    pub samples_used_total: u64,
-    /// Mean `samples_used` per served request.
-    pub mean_samples: f64,
-    /// `samples_used` histogram over served requests (bucket `s - 1`
-    /// counts requests answered with exactly `s` samples).
-    pub samples_histogram: Vec<u64>,
-    /// Requests refused with a typed abstention.
-    pub abstained: u64,
-    /// Requests shed at admission by the deadline/cost budget gate.
-    pub budget_shed: u64,
+}
+
+impl IngestMetrics {
+    /// Every served value, once, as named metrics. The unlabelled
+    /// `cost_*` values are cluster totals; the same names labelled with
+    /// `replica` and `backend` are each replica's share.
+    pub fn frame(&self) -> MetricsFrame {
+        use MetricValue::{Buckets, Count, Gauge};
+        let c = &self.cluster;
+        let (u, s) = (&c.uncertainty, &c.sampling);
+        let alive = c.replicas.iter().filter(|r| r.alive).count() as u64;
+        let cost = |cost: &BackendCost| {
+            [
+                ("cost_cycles", Count(cost.cycles)),
+                ("cost_energy_nj", Gauge(cost.energy_nj)),
+                ("cost_samples", Count(cost.samples)),
+            ]
+        };
+        let metric = |name: &str, labels, value| Metric {
+            name: name.to_owned(),
+            labels,
+            value,
+        };
+        let server_wide = [
+            ("queued", Count(c.queued as u64)),
+            ("capacity", Count(c.capacity as u64)),
+            ("submitted", Count(c.submitted)),
+            ("served", Count(c.served)),
+            ("served_interactive", Count(c.served_interactive)),
+            ("served_batch", Count(c.served_batch)),
+            ("rejected", Count(c.rejected)),
+            ("deadline_expired", Count(c.deadline_expired)),
+            ("cancelled", Count(c.cancelled)),
+            ("replicas_alive", Count(alive)),
+            ("connections_open", Count(self.connections_open)),
+            ("connections_total", Count(self.connections_total)),
+            ("requests_decoded", Count(self.requests_decoded)),
+            ("protocol_errors", Count(self.protocol_errors)),
+            ("uncertainty_count", Count(u.count)),
+            ("entropy_mean", Gauge(u.entropy_mean)),
+            ("mc_std_mean", Gauge(u.mc_std_mean)),
+            ("entropy_histogram", Buckets(u.entropy_histogram.clone())),
+            ("samples_used_total", Count(s.samples_used_total)),
+            ("mean_samples", Gauge(s.mean_samples)),
+            ("samples_histogram", Buckets(s.histogram.clone())),
+            ("abstained", Count(s.abstained)),
+            ("budget_shed", Count(s.budget_shed)),
+        ]
+        .into_iter()
+        .chain(cost(&c.cost))
+        .map(|(name, value)| metric(name, Vec::new(), value));
+        let per_replica = c.replicas.iter().enumerate().flat_map(|(i, r)| {
+            let labels = vec![
+                ("replica".to_owned(), i.to_string()),
+                ("backend".to_owned(), r.backend.to_string()),
+            ];
+            cost(&r.cost).map(move |(name, value)| metric(name, labels.clone(), value))
+        });
+        MetricsFrame(server_wide.chain(per_replica).collect())
+    }
 }
 
 fn write_lane_deadline(w: &mut WireWriter, tag: u64, priority: Priority, deadline_micros: u64) {
@@ -413,6 +485,24 @@ fn write_result(w: &mut WireWriter, r: &ServeResult) {
     w.u64(u64::from(r.samples_used));
 }
 
+/// Reads a `u64` field whose in-process counterpart is a `u32`,
+/// refusing values that would not survive the narrowing.
+fn read_u32_field(r: &mut WireReader<'_>, what: &str) -> Result<u32, VibnnError> {
+    u32::try_from(r.u64().map_err(protocol)?)
+        .map_err(|_| VibnnError::Protocol(format!("{what} overflows u32")))
+}
+
+/// Reads a count of items that each take at least `min_bytes` on the
+/// wire, refusing one the unread bytes cannot hold — so a hostile count
+/// never reserves memory.
+fn read_count(r: &mut WireReader<'_>, min_bytes: usize) -> Result<usize, VibnnError> {
+    let count = r.dim().map_err(protocol)?;
+    if count.saturating_mul(min_bytes) > r.remaining() {
+        return Err(VibnnError::Protocol(format!("{count} items cannot fit")));
+    }
+    Ok(count)
+}
+
 fn read_result(r: &mut WireReader<'_>) -> Result<ServeResult, VibnnError> {
     let id = r.u64().map_err(protocol)?;
     let classes = r.dim().map_err(protocol)?;
@@ -420,8 +510,7 @@ fn read_result(r: &mut WireReader<'_>) -> Result<ServeResult, VibnnError> {
     let argmax = r.u64().map_err(protocol)? as usize;
     let entropy = r.f64().map_err(protocol)?;
     let mc_std = r.f64().map_err(protocol)?;
-    let samples_used = u32::try_from(r.u64().map_err(protocol)?)
-        .map_err(|_| VibnnError::Protocol("samples_used overflows u32".into()))?;
+    let samples_used = read_u32_field(r, "samples_used")?;
     Ok(ServeResult {
         id,
         proba,
@@ -499,8 +588,8 @@ fn read_wire_error(r: &mut WireReader<'_>) -> Result<WireError, VibnnError> {
         5 => WireError::Protocol(read_string(r)?),
         6 => WireError::Other(read_string(r)?),
         7 => WireError::Abstained {
-            samples_used: r.u64().map_err(protocol)?,
-            entropy_milli: r.u64().map_err(protocol)?,
+            samples_used: u64::from(read_u32_field(r, "samples_used")?),
+            entropy_milli: u64::from(read_u32_field(r, "entropy_milli")?),
         },
         8 => WireError::BudgetExceeded {
             predicted_micros: r.u64().map_err(protocol)?,
@@ -508,6 +597,66 @@ fn read_wire_error(r: &mut WireReader<'_>) -> Result<WireError, VibnnError> {
         },
         code => return Err(VibnnError::Protocol(format!("unknown error code {code}"))),
     })
+}
+
+/// Writes a frame as a metric count, then per metric its name, its
+/// labels, a kind byte (0 count, 1 gauge, 2 buckets) and the value.
+fn write_metrics(w: &mut WireWriter, frame: &MetricsFrame) {
+    w.dim(frame.0.len());
+    for m in &frame.0 {
+        write_string(w, &m.name);
+        w.dim(m.labels.len());
+        for (key, value) in &m.labels {
+            write_string(w, key);
+            write_string(w, value);
+        }
+        match &m.value {
+            MetricValue::Count(v) => {
+                w.u8(0);
+                w.u64(*v);
+            }
+            MetricValue::Gauge(v) => {
+                w.u8(1);
+                w.f64(*v);
+            }
+            MetricValue::Buckets(buckets) => {
+                w.u8(2);
+                w.dim(buckets.len());
+                for &b in buckets {
+                    w.u64(b);
+                }
+            }
+        }
+    }
+}
+
+fn read_metrics(r: &mut WireReader<'_>) -> Result<MetricsFrame, VibnnError> {
+    // Smallest encodings: a metric is an empty name, no labels, a kind
+    // byte and an empty bucket list; a label is two empty strings.
+    let metrics = (0..read_count(r, 13)?)
+        .map(|_| {
+            let name = read_string(r)?;
+            let labels = (0..read_count(r, 8)?)
+                .map(|_| Ok((read_string(r)?, read_string(r)?)))
+                .collect::<Result<_, VibnnError>>()?;
+            let value = match r.u8().map_err(protocol)? {
+                0 => MetricValue::Count(r.u64().map_err(protocol)?),
+                1 => MetricValue::Gauge(r.f64().map_err(protocol)?),
+                2 => MetricValue::Buckets(
+                    (0..read_count(r, 8)?)
+                        .map(|_| r.u64().map_err(protocol))
+                        .collect::<Result<_, _>>()?,
+                ),
+                kind => return Err(VibnnError::Protocol(format!("unknown metric kind {kind}"))),
+            };
+            Ok(Metric {
+                name,
+                labels,
+                value,
+            })
+        })
+        .collect::<Result<_, VibnnError>>()?;
+    Ok(MetricsFrame(metrics))
 }
 
 /// Serializes a request into one wire envelope (without the frame
@@ -640,54 +789,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
         Reply::Metrics { tag, metrics } => {
             let mut w = WireWriter::new(KIND_METRICS_REPLY);
             w.u64(*tag);
-            for v in [
-                metrics.queued,
-                metrics.capacity,
-                metrics.submitted,
-                metrics.served,
-                metrics.served_interactive,
-                metrics.served_batch,
-                metrics.rejected,
-                metrics.deadline_expired,
-                metrics.cancelled,
-                metrics.replicas_alive,
-                metrics.connections_open,
-                metrics.connections_total,
-                metrics.requests_decoded,
-                metrics.protocol_errors,
-            ] {
-                w.u64(v);
-            }
-            w.u64(metrics.uncertainty_count);
-            w.f64(metrics.entropy_mean);
-            w.f64(metrics.mc_std_mean);
-            // Fixed bucket count: no length prefix on the wire.
-            for b in 0..crate::cluster::ENTROPY_BUCKETS {
-                w.u64(metrics.entropy_histogram.get(b).copied().unwrap_or(0));
-            }
-            // Backend cost accounting: cluster total, then per-replica
-            // (backend code, cycles, energy, samples). Energy rides as
-            // raw f64 LE bits like every float on this wire.
-            w.u64(metrics.cost.cycles);
-            w.f64(metrics.cost.energy_nj);
-            w.u64(metrics.cost.samples);
-            w.dim(metrics.replica_costs.len());
-            for (kind, cost) in &metrics.replica_costs {
-                w.u8(kind.code());
-                w.u64(cost.cycles);
-                w.f64(cost.energy_nj);
-                w.u64(cost.samples);
-            }
-            // Adaptive sampling aggregates: the histogram length is the
-            // deployment's `mc_samples`, so it travels dim-prefixed.
-            w.u64(metrics.samples_used_total);
-            w.f64(metrics.mean_samples);
-            w.dim(metrics.samples_histogram.len());
-            for &b in &metrics.samples_histogram {
-                w.u64(b);
-            }
-            w.u64(metrics.abstained);
-            w.u64(metrics.budget_shed);
+            write_metrics(&mut w, metrics);
             w.into_bytes()
         }
         Reply::Shutdown { tag } => {
@@ -715,12 +817,8 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, VibnnError> {
         },
         KIND_PREDICT_BATCH_REPLY => {
             let tag = r.u64().map_err(protocol)?;
-            let count = r.dim().map_err(protocol)?;
-            // Each row is ≥ 2 bytes on the wire; reject impossible
-            // counts before reserving anything.
-            if count > bytes.len() {
-                return Err(VibnnError::Protocol(format!("{count} rows cannot fit")));
-            }
+            // A row is at least a flag byte and an error code.
+            let count = read_count(&mut r, 2)?;
             let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
                 rows.push(match r.u8().map_err(protocol)? {
@@ -733,94 +831,10 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, VibnnError> {
             }
             Reply::PredictBatch { tag, rows }
         }
-        KIND_METRICS_REPLY => {
-            let tag = r.u64().map_err(protocol)?;
-            let mut vals = [0u64; 14];
-            for v in &mut vals {
-                *v = r.u64().map_err(protocol)?;
-            }
-            let uncertainty_count = r.u64().map_err(protocol)?;
-            let entropy_mean = r.f64().map_err(protocol)?;
-            let mc_std_mean = r.f64().map_err(protocol)?;
-            let mut entropy_histogram = vec![0u64; crate::cluster::ENTROPY_BUCKETS];
-            for b in &mut entropy_histogram {
-                *b = r.u64().map_err(protocol)?;
-            }
-            let cost = BackendCost {
-                cycles: r.u64().map_err(protocol)?,
-                energy_nj: r.f64().map_err(protocol)?,
-                samples: r.u64().map_err(protocol)?,
-            };
-            let replica_count = r.dim().map_err(protocol)?;
-            // Each entry is ≥ 25 bytes on the wire; reject impossible
-            // counts before reserving anything.
-            if replica_count > bytes.len() {
-                return Err(VibnnError::Protocol(format!(
-                    "{replica_count} replica costs cannot fit"
-                )));
-            }
-            let mut replica_costs = Vec::with_capacity(replica_count);
-            for _ in 0..replica_count {
-                let code = r.u8().map_err(protocol)?;
-                let kind = BackendKind::from_code(code).ok_or_else(|| {
-                    VibnnError::Protocol(format!("unknown backend code {code}"))
-                })?;
-                replica_costs.push((
-                    kind,
-                    BackendCost {
-                        cycles: r.u64().map_err(protocol)?,
-                        energy_nj: r.f64().map_err(protocol)?,
-                        samples: r.u64().map_err(protocol)?,
-                    },
-                ));
-            }
-            let samples_used_total = r.u64().map_err(protocol)?;
-            let mean_samples = r.f64().map_err(protocol)?;
-            let hist_len = r.dim().map_err(protocol)?;
-            // Each bucket is 8 bytes on the wire; reject impossible
-            // counts before reserving anything.
-            if hist_len > bytes.len() {
-                return Err(VibnnError::Protocol(format!(
-                    "{hist_len} sample buckets cannot fit"
-                )));
-            }
-            let mut samples_histogram = vec![0u64; hist_len];
-            for b in &mut samples_histogram {
-                *b = r.u64().map_err(protocol)?;
-            }
-            let abstained = r.u64().map_err(protocol)?;
-            let budget_shed = r.u64().map_err(protocol)?;
-            Reply::Metrics {
-                tag,
-                metrics: IngestMetrics {
-                    queued: vals[0],
-                    capacity: vals[1],
-                    submitted: vals[2],
-                    served: vals[3],
-                    served_interactive: vals[4],
-                    served_batch: vals[5],
-                    rejected: vals[6],
-                    deadline_expired: vals[7],
-                    cancelled: vals[8],
-                    replicas_alive: vals[9],
-                    connections_open: vals[10],
-                    connections_total: vals[11],
-                    requests_decoded: vals[12],
-                    protocol_errors: vals[13],
-                    uncertainty_count,
-                    entropy_mean,
-                    mc_std_mean,
-                    entropy_histogram,
-                    cost,
-                    replica_costs,
-                    samples_used_total,
-                    mean_samples,
-                    samples_histogram,
-                    abstained,
-                    budget_shed,
-                },
-            }
-        }
+        KIND_METRICS_REPLY => Reply::Metrics {
+            tag: r.u64().map_err(protocol)?,
+            metrics: read_metrics(&mut r)?,
+        },
         KIND_SHUTDOWN_REPLY => Reply::Shutdown {
             tag: r.u64().map_err(protocol)?,
         },
@@ -878,33 +892,12 @@ struct ServerShared<S: StreamFork + Sync + Send + 'static> {
 
 impl<S: StreamFork + Sync + Send> ServerShared<S> {
     fn snapshot(&self) -> IngestMetrics {
-        let m = self.cluster.metrics();
         IngestMetrics {
-            queued: m.queued as u64,
-            capacity: m.capacity as u64,
-            submitted: m.submitted,
-            served: m.served,
-            served_interactive: m.served_interactive,
-            served_batch: m.served_batch,
-            rejected: m.rejected,
-            deadline_expired: m.deadline_expired,
-            cancelled: m.cancelled,
-            replicas_alive: m.replicas.iter().filter(|r| r.alive).count() as u64,
+            cluster: self.cluster.metrics(),
             connections_open: self.connections_open.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),
             requests_decoded: self.requests_decoded.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            uncertainty_count: m.uncertainty.count,
-            entropy_mean: m.uncertainty.entropy_mean,
-            mc_std_mean: m.uncertainty.mc_std_mean,
-            entropy_histogram: m.uncertainty.entropy_histogram,
-            cost: m.cost,
-            replica_costs: m.replicas.iter().map(|r| (r.backend, r.cost)).collect(),
-            samples_used_total: m.sampling.samples_used_total,
-            mean_samples: m.sampling.mean_samples,
-            samples_histogram: m.sampling.histogram,
-            abstained: m.sampling.abstained,
-            budget_shed: m.sampling.budget_shed,
         }
     }
 }
@@ -1031,8 +1024,8 @@ impl<S: StreamFork + Sync + Send + 'static> IngestServer<S> {
         self.local_addr
     }
 
-    /// A metrics snapshot, same contents as the wire
-    /// [`Request::Metrics`] reply.
+    /// A metrics snapshot; its [`IngestMetrics::frame`] is what the
+    /// wire [`Request::Metrics`] reply carries.
     pub fn metrics(&self) -> IngestMetrics {
         self.shared.snapshot()
     }
@@ -1282,7 +1275,7 @@ fn serve_request<S: StreamFork + Sync + Send + 'static>(
         }
         Request::Metrics { tag } => Reply::Metrics {
             tag,
-            metrics: shared.snapshot(),
+            metrics: shared.snapshot().frame(),
         },
         Request::Shutdown { tag } => {
             shared.stop.store(true, Ordering::SeqCst);
@@ -1432,7 +1425,7 @@ impl IngestClient {
     /// # Errors
     ///
     /// Transport failures, or the server's typed error reply.
-    pub fn metrics(&mut self) -> Result<IngestMetrics, VibnnError> {
+    pub fn metrics(&mut self) -> Result<MetricsFrame, VibnnError> {
         let request = Request::Metrics { tag: self.tag() };
         match self.roundtrip(&request)? {
             Reply::Metrics { metrics, .. } => Ok(metrics),
@@ -1473,6 +1466,26 @@ mod tests {
             mc_std: 0.007,
             samples_used: 4,
         }
+    }
+
+    /// `len` metrics cycling through the three value kinds, with zero to
+    /// two labels each.
+    fn frame_fixture(len: u64) -> MetricsFrame {
+        MetricsFrame(
+            (0..len)
+                .map(|i| Metric {
+                    name: format!("metric_{i}"),
+                    labels: (0..i % 3)
+                        .map(|l| (format!("key_{l}"), format!("value_{}", i * l)))
+                        .collect(),
+                    value: match i % 3 {
+                        0 => MetricValue::Count(i * 1_000_003),
+                        1 => MetricValue::Gauge(i as f64 * -0.125),
+                        _ => MetricValue::Buckets((0..i).collect()),
+                    },
+                })
+                .collect(),
+        )
     }
 
     #[test]
@@ -1526,54 +1539,11 @@ mod tests {
             },
             Reply::Metrics {
                 tag: 3,
-                metrics: IngestMetrics {
-                    queued: 1,
-                    capacity: 1024,
-                    submitted: 500,
-                    served: 499,
-                    served_interactive: 400,
-                    served_batch: 99,
-                    rejected: 1,
-                    deadline_expired: 2,
-                    cancelled: 0,
-                    replicas_alive: 2,
-                    connections_open: 3,
-                    connections_total: 11,
-                    requests_decoded: 510,
-                    protocol_errors: 4,
-                    uncertainty_count: 256,
-                    entropy_mean: 0.41,
-                    mc_std_mean: 0.07,
-                    entropy_histogram: vec![10, 20, 30, 40, 50, 60, 70, 19],
-                    cost: BackendCost {
-                        cycles: 123_456,
-                        energy_nj: 7_890.25,
-                        samples: 2_048,
-                    },
-                    replica_costs: vec![
-                        (
-                            BackendKind::Quantized,
-                            BackendCost {
-                                cycles: 0,
-                                energy_nj: 0.0,
-                                samples: 1_024,
-                            },
-                        ),
-                        (
-                            BackendKind::Cycle,
-                            BackendCost {
-                                cycles: 123_456,
-                                energy_nj: 7_890.25,
-                                samples: 1_024,
-                            },
-                        ),
-                    ],
-                    samples_used_total: 1_620,
-                    mean_samples: 3.25,
-                    samples_histogram: vec![12, 34, 56, 397],
-                    abstained: 5,
-                    budget_shed: 2,
-                },
+                metrics: frame_fixture(0),
+            },
+            Reply::Metrics {
+                tag: 3,
+                metrics: frame_fixture(9),
             },
             Reply::Shutdown { tag: 4 },
             Reply::Error {
@@ -1687,6 +1657,27 @@ mod tests {
             decode_request(&w.into_bytes()),
             Err(VibnnError::Protocol(_))
         ));
+        // An abstention whose sample count does not fit the u32 it
+        // decodes into must not wrap (2^32 + 3 would read as 3).
+        for (samples_used, entropy_milli) in [((1 << 32) + 3, 500), (8, (1 << 32) + 912)] {
+            let mut w = WireWriter::new(KIND_ERROR_REPLY);
+            w.u64(1);
+            w.u8(7);
+            w.u64(samples_used);
+            w.u64(entropy_milli);
+            assert!(matches!(
+                decode_reply(&w.into_bytes()),
+                Err(VibnnError::Protocol(_))
+            ));
+        }
+        // A metrics frame claiming more metrics than its bytes can hold.
+        let mut w = WireWriter::new(KIND_METRICS_REPLY);
+        w.u64(1);
+        w.dim(u32::MAX as usize);
+        assert!(matches!(
+            decode_reply(&w.into_bytes()),
+            Err(VibnnError::Protocol(_))
+        ));
         // A batch claiming zero-width rows.
         let mut w = WireWriter::new(KIND_PREDICT_BATCH);
         w.u64(1);
@@ -1698,6 +1689,62 @@ mod tests {
             decode_request(&w.into_bytes()),
             Err(VibnnError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn frame_lists_every_value_once() {
+        use crate::{ClusterConfig, VibnnBuilder};
+        use vibnn_bnn::{Bnn, BnnConfig};
+        use vibnn_nn::Matrix;
+
+        let bnn = Bnn::new(BnnConfig::new(&[4, 8, 3]), 7);
+        let vibnn = VibnnBuilder::new(bnn.params())
+            .mc_samples(4)
+            .calibration(Matrix::zeros(2, 4))
+            .build()
+            .unwrap();
+        let cluster = ClusterEngine::new(vibnn, ClusterConfig::default()).unwrap();
+        let id = cluster.submit(vec![0.0; 4]).unwrap();
+        cluster.wait(id).unwrap();
+        let metrics = IngestMetrics {
+            cluster: cluster.metrics(),
+            connections_open: 1,
+            connections_total: 2,
+            requests_decoded: 3,
+            protocol_errors: 4,
+        };
+        assert!(cluster.shutdown().is_empty());
+        let frame = metrics.frame();
+        for (i, m) in frame.0.iter().enumerate() {
+            assert!(
+                frame.0[..i]
+                    .iter()
+                    .all(|o| (&o.name, &o.labels) != (&m.name, &m.labels)),
+                "{} {:?} listed twice",
+                m.name,
+                m.labels
+            );
+        }
+        assert_eq!(frame.count("served"), Some(1));
+        assert_eq!(frame.count("protocol_errors"), Some(4));
+        assert_eq!(frame.count("replicas_alive"), Some(2));
+        assert_eq!(frame.count("cost_samples"), Some(4));
+        assert_eq!(frame.count("entropy_mean"), None, "a gauge is not a count");
+        assert!(matches!(frame.get("mean_samples"), Some(MetricValue::Gauge(m)) if *m == 4.0));
+        assert_eq!(
+            frame.get("samples_histogram"),
+            Some(&MetricValue::Buckets(vec![0, 0, 0, 1]))
+        );
+        let replicas: Vec<_> = frame
+            .0
+            .iter()
+            .filter(|m| m.name == "cost_samples" && !m.labels.is_empty())
+            .collect();
+        assert_eq!(replicas.len(), 2);
+        for (i, m) in replicas.iter().enumerate() {
+            let labels = [("replica", i.to_string()), ("backend", "quantized".into())];
+            assert_eq!(m.labels, labels.map(|(k, v)| (k.to_owned(), v)));
+        }
     }
 
     #[test]

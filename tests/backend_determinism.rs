@@ -186,7 +186,8 @@ fn mixed_pool_answers_are_attributable_to_exactly_one_backend() {
         BackendKind::Cycle,
         BackendKind::Quantized,
     ];
-    let cluster = ClusterEngine::with_backends(
+    let slots = kinds.map(|kind| (kind, vibnn.default_policy()));
+    let cluster = ClusterEngine::with_slots(
         deployed(),
         ClusterConfig {
             replicas: kinds.len(),
@@ -199,7 +200,7 @@ fn mixed_pool_answers_are_attributable_to_exactly_one_backend() {
             policy: None,
         },
         ZigguratGrng::new(EPS_SEED),
-        &kinds,
+        &slots,
     )
     .expect("valid mixed pool");
     let quant_ref = vibnn.predict_proba_parallel(&x, &cluster.replica_eps(), 1);

@@ -16,6 +16,7 @@ use vibnn::bnn::{replica_source, Bnn, BnnConfig};
 use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::grng::ZigguratGrng;
 use vibnn::hw::CycleAccelerator;
+use vibnn::ingest::MetricValue;
 use vibnn::nn::{GaussianInit, Matrix};
 use vibnn::{
     BackendKind, IngestClient, IngestConfig, IngestServer, Priority, Vibnn, VibnnBuilder,
@@ -151,7 +152,7 @@ fn concurrent_clients_any_order_any_lane_match_batched_path() {
                     });
                 }
             });
-            let metrics = server.metrics();
+            let metrics = server.metrics().cluster;
             assert_eq!(metrics.served, REQUESTS as u64, "order {o}");
             assert!(metrics.served_interactive > 0 && metrics.served_batch > 0);
             assert!(server.shutdown().shutdown().is_empty());
@@ -208,7 +209,8 @@ fn deadline_expired_requests_are_the_only_unanswered_ones() {
     // requests genuinely queue behind work.
     let mut probe = IngestClient::connect(addr).expect("connect");
     for _ in 0..2000 {
-        if probe.metrics().expect("metrics").queued > 0 {
+        let queued = probe.metrics().expect("metrics").count("queued");
+        if queued.expect("queued") > 0 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_micros(50));
@@ -244,7 +246,7 @@ fn deadline_expired_requests_are_the_only_unanswered_ones() {
             "congestion row {i} diverged"
         );
     }
-    let metrics = server.metrics();
+    let metrics = server.metrics().cluster;
     assert_eq!(metrics.deadline_expired, expired as u64);
     assert_eq!(metrics.served, 240 + answered as u64);
     assert!(server.shutdown().shutdown().is_empty());
@@ -295,19 +297,40 @@ fn cycle_backend_serves_the_wire_with_nonzero_cost_metrics() {
         );
     }
     // The hardware ledger travels the wire: nonzero cycles/energy in the
-    // Metrics reply, per-replica entries tagged Cycle, totals consistent.
+    // Metrics reply, per-replica entries labelled `cycle`, totals
+    // consistent. At quiescence the decoded frame is the server's own,
+    // value for value.
     let m = client.metrics().expect("wire metrics");
-    assert_eq!(m.served, REQUESTS as u64);
-    assert!(m.cost.cycles > 0, "cycle serving must charge cycles");
-    assert!(m.cost.energy_nj > 0.0, "cycle serving must charge energy");
-    assert_eq!(m.cost.samples as usize, REQUESTS * vibnn.mc_samples());
-    assert_eq!(m.replica_costs.len(), 2);
-    for (kind, _) in &m.replica_costs {
-        assert_eq!(*kind, BackendKind::Cycle);
+    assert_eq!(m, server.metrics().frame(), "the wire changed a value");
+    assert_eq!(m.count("served"), Some(REQUESTS as u64));
+    let total_cycles = m.count("cost_cycles").expect("total cycles");
+    assert!(total_cycles > 0, "cycle serving must charge cycles");
+    assert!(
+        matches!(m.get("cost_energy_nj"), Some(MetricValue::Gauge(e)) if *e > 0.0),
+        "cycle serving must charge energy"
+    );
+    assert_eq!(
+        m.count("cost_samples"),
+        Some((REQUESTS * vibnn.mc_samples()) as u64)
+    );
+    let replica_cycles: Vec<_> =
+        m.0.iter()
+            .filter(|metric| metric.name == "cost_cycles" && !metric.labels.is_empty())
+            .collect();
+    assert_eq!(replica_cycles.len(), 2);
+    for (i, metric) in replica_cycles.iter().enumerate() {
+        let labels = [("replica", i.to_string()), ("backend", "cycle".to_owned())];
+        assert_eq!(metric.labels, labels.map(|(k, v)| (k.to_owned(), v)));
     }
     assert_eq!(
-        m.cost.cycles,
-        m.replica_costs.iter().map(|(_, c)| c.cycles).sum::<u64>(),
+        total_cycles,
+        replica_cycles
+            .iter()
+            .map(|metric| match metric.value {
+                MetricValue::Count(cycles) => cycles,
+                ref other => panic!("replica cycles as {other:?}"),
+            })
+            .sum::<u64>(),
         "wire total is the sum of per-replica costs"
     );
     assert!(server.shutdown().shutdown().is_empty());

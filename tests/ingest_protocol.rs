@@ -327,8 +327,8 @@ fn queue_full_travels_typed_and_the_connection_recovers() {
     let result = client.predict(&[0.5; FEATURES]).expect("recovery predict");
     assert_eq!(result.proba.len(), 2);
     let metrics = client.metrics().expect("metrics");
-    assert!(metrics.rejected >= 1);
-    assert_eq!(metrics.capacity, 2);
+    assert!(metrics.count("rejected").expect("rejected") >= 1);
+    assert_eq!(metrics.count("capacity"), Some(2));
     server.shutdown();
 }
 

@@ -1,5 +1,13 @@
 //! Property-based tests (proptest) on the core invariants.
 
+// `GlobalAlloc` is an `unsafe` trait; like `tests/alloc_steady_state.rs`,
+// this test binary installs a measuring allocator (here: the largest
+// single allocation per thread, for the hostile-frame decoder test) and
+// is a sanctioned exception to the workspace's `unsafe_code = "deny"`.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 
 use proptest::prelude::*;
@@ -8,11 +16,79 @@ use vibnn::fixed::{choose_format, MacAccumulator, QFormat};
 use vibnn::grng::WallaceUnit;
 use vibnn::hw::{AcceleratorConfig, Schedule};
 use vibnn::ingest::{decode_reply, decode_request, encode_reply, encode_request};
-use vibnn::ingest::{IngestMetrics, Reply, Request, WireError};
+use vibnn::ingest::{Metric, MetricValue, MetricsFrame, Reply, Request, WireError};
 use vibnn::rng::{BitVec, CircularLfsr, RlfLogic, RlfMode, SplitMix64};
 use vibnn::serve::ServeResult;
-use vibnn::Priority;
-use vibnn::{BackendCost, BackendKind};
+use vibnn::{Priority, VibnnError};
+
+/// Records the largest single allocation the current thread requests.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: allocations during thread teardown are not measured.
+    let _ = PEAK_ALLOC.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; recording a size touches
+// only a const-initialized thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// it made on this thread.
+fn peak_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK_ALLOC.with(|peak| peak.set(0));
+    let out = f();
+    (out, PEAK_ALLOC.with(Cell::get))
+}
+
+/// One generated metric: value kind (0 count, 1 gauge, 2 buckets), the
+/// count, the gauge, the number of labels, and the buckets.
+type RawMetric = (u8, u64, f64, usize, Vec<u64>);
+
+fn frame_from(raw: Vec<RawMetric>) -> MetricsFrame {
+    MetricsFrame(
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (kind, count, gauge, labels, buckets))| Metric {
+                name: format!("metric_{i}"),
+                labels: (0..labels)
+                    .map(|l| (format!("key_{l}"), format!("värde_{count:x}")))
+                    .collect(),
+                value: match kind {
+                    0 => MetricValue::Count(count),
+                    1 => MetricValue::Gauge(gauge),
+                    _ => MetricValue::Buckets(buckets),
+                },
+            })
+            .collect(),
+    )
+}
 
 fn lane(code: u8) -> Priority {
     if code == 0 {
@@ -290,75 +366,18 @@ proptest! {
         prop_assert_eq!(decode_reply(&encode_reply(&batch)).unwrap(), batch);
     }
 
-    /// Metrics snapshots — counters, uncertainty means, the fixed-width
-    /// entropy histogram, and the backend cost accounting (cluster total
-    /// plus per-replica `(kind, cost)` entries) — round-trip the reply
-    /// codec exactly for arbitrary values (f64 means and energies travel
-    /// as raw bits).
+    /// Metrics frames — counts, gauges and bucket vectors, with or
+    /// without labels — round-trip the reply codec exactly (gauges
+    /// travel as raw f64 bits).
     #[test]
     fn metrics_reply_codec_round_trips(
         tag in 0u64..,
-        counters in prop::collection::vec(0u64.., 15usize..16),
-        entropy_mean in 0.0f64..10.0,
-        mc_std_mean in 0.0f64..10.0,
-        histogram in prop::collection::vec(
-            0u64..,
-            vibnn::cluster::ENTROPY_BUCKETS..vibnn::cluster::ENTROPY_BUCKETS + 1,
+        raw in prop::collection::vec(
+            (0u8..3, 0u64.., -1e12f64..1e12, 0usize..3, prop::collection::vec(0u64.., 0usize..12)),
+            0usize..24,
         ),
-        total_cycles in 0u64..,
-        total_energy in 0.0f64..1e12,
-        total_samples in 0u64..,
-        replica_raw in prop::collection::vec(
-            (0u8..3, 0u64.., 0.0f64..1e12, 0u64..),
-            0usize..5,
-        ),
-        samples_used_total in 0u64..,
-        mean_samples in 0.0f64..1e4,
-        samples_histogram in prop::collection::vec(0u64.., 0usize..12),
-        abstained in 0u64..,
-        budget_shed in 0u64..,
     ) {
-        let replica_costs: Vec<(BackendKind, BackendCost)> = replica_raw
-            .into_iter()
-            .map(|(code, cycles, energy_nj, samples)| {
-                (
-                    BackendKind::from_code(code).expect("codes 0..3 are valid"),
-                    BackendCost { cycles, energy_nj, samples },
-                )
-            })
-            .collect();
-        let metrics = IngestMetrics {
-            queued: counters[0],
-            capacity: counters[1],
-            submitted: counters[2],
-            served: counters[3],
-            served_interactive: counters[4],
-            served_batch: counters[5],
-            rejected: counters[6],
-            deadline_expired: counters[7],
-            cancelled: counters[8],
-            replicas_alive: counters[9],
-            connections_open: counters[10],
-            connections_total: counters[11],
-            requests_decoded: counters[12],
-            protocol_errors: counters[13],
-            uncertainty_count: counters[14],
-            entropy_mean,
-            mc_std_mean,
-            entropy_histogram: histogram,
-            cost: BackendCost {
-                cycles: total_cycles,
-                energy_nj: total_energy,
-                samples: total_samples,
-            },
-            replica_costs,
-            samples_used_total,
-            mean_samples,
-            samples_histogram,
-            abstained,
-            budget_shed,
-        };
-        let reply = Reply::Metrics { tag, metrics };
+        let reply = Reply::Metrics { tag, metrics: frame_from(raw) };
         prop_assert_eq!(decode_reply(&encode_reply(&reply)).unwrap(), reply);
     }
 
@@ -371,6 +390,8 @@ proptest! {
         capacity in 0u64..,
         expected in 0u64..,
         got in 0u64..,
+        samples_used in 0u32..,
+        entropy_milli in 0u32..,
     ) {
         for error in [
             WireError::QueueFull { depth, capacity },
@@ -380,8 +401,8 @@ proptest! {
             WireError::Protocol("torn frame header".to_owned()),
             WireError::Other("replica thread failure".to_owned()),
             WireError::Abstained {
-                samples_used: depth,
-                entropy_milli: capacity,
+                samples_used: u64::from(samples_used),
+                entropy_milli: u64::from(entropy_milli),
             },
             WireError::BudgetExceeded {
                 predicted_micros: expected,
@@ -390,6 +411,51 @@ proptest! {
         ] {
             let reply = Reply::Error { tag, error };
             prop_assert_eq!(decode_reply(&encode_reply(&reply)).unwrap(), reply);
+        }
+    }
+}
+
+// Hostile Metrics replies: every truncation and every single-bit flip of
+// a valid frame. Each one costs a decode per byte and per bit, so this
+// block runs fewer cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A valid Metrics reply cut at any offset fails with a typed
+    /// error; with any one bit flipped it decodes to a typed error or a
+    /// valid reply. Neither ever panics, and no decode makes an
+    /// allocation larger than 8 bytes per input byte (plus room for an
+    /// error message) — a length field is checked against the unread
+    /// bytes before anything is reserved for it.
+    #[test]
+    fn hostile_metrics_replies_fail_typed_and_bounded(
+        tag in 0u64..,
+        raw in prop::collection::vec(
+            (0u8..3, 0u64.., -1e12f64..1e12, 0usize..3, prop::collection::vec(0u64.., 0usize..6)),
+            1usize..8,
+        ),
+    ) {
+        let bytes = encode_reply(&Reply::Metrics { tag, metrics: frame_from(raw) });
+        let bound = |len: usize| 8 * len + 256;
+        for cut in 0..bytes.len() {
+            let (result, peak) = peak_allocation(|| decode_reply(&bytes[..cut]));
+            prop_assert!(
+                matches!(result, Err(VibnnError::Protocol(_))),
+                "cut at {}: {:?}", cut, result
+            );
+            prop_assert!(peak <= bound(cut), "cut at {}: allocated {} bytes", cut, peak);
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let (result, peak) = peak_allocation(|| decode_reply(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(peak <= bound(bytes.len()), "bit {}: allocated {} bytes", bit, peak);
+            match result {
+                Err(VibnnError::Protocol(_)) => {}
+                Ok(reply) => prop_assert!(decode_reply(&encode_reply(&reply)).is_ok()),
+                Err(other) => prop_assert!(false, "bit {}: untyped error {:?}", bit, other),
+            }
         }
     }
 }

@@ -160,8 +160,9 @@ fn exact_n_is_the_pre_policy_path_bit_for_bit_through_engine_cluster_and_wire() 
         assert_eq!(res.samples_used as usize, MC_SAMPLES, "wire row {r}");
     }
     let m = client.metrics().expect("wire metrics");
-    assert_eq!(m.samples_used_total, (REQUESTS * MC_SAMPLES) as u64);
-    assert_eq!(m.abstained, 0);
+    let samples_used_total = (REQUESTS * MC_SAMPLES) as u64;
+    assert_eq!(m.count("samples_used_total"), Some(samples_used_total));
+    assert_eq!(m.count("abstained"), Some(0));
     assert!(server.shutdown().shutdown().is_empty());
 }
 
@@ -353,7 +354,7 @@ proptest! {
         tag in 0u64..,
         id in 0u64..,
         samples_used in 0u32..,
-        entropy_milli in 0u64..,
+        entropy_milli in 0u32..,
         proba in prop::collection::vec(0.0f32..1.0, 1..6),
     ) {
         let result = ServeResult {
@@ -370,7 +371,7 @@ proptest! {
             tag,
             rows: vec![Ok(result), Err(WireError::Abstained {
                 samples_used: u64::from(samples_used),
-                entropy_milli,
+                entropy_milli: u64::from(entropy_milli),
             })],
         };
         prop_assert_eq!(decode_reply(&encode_reply(&batch)).unwrap(), batch);
@@ -378,7 +379,7 @@ proptest! {
             tag,
             error: WireError::Abstained {
                 samples_used: u64::from(samples_used),
-                entropy_milli,
+                entropy_milli: u64::from(entropy_milli),
             },
         };
         prop_assert_eq!(decode_reply(&encode_reply(&error)).unwrap(), error);
