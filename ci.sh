@@ -32,6 +32,9 @@ VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_mc_samples
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_grng.json" \
     cargo run --release -p vibnn_bench --bin bench_grng
 
+echo "==> serving example (queued serving through a one-replica cluster, with backoff on QueueFull)"
+cargo run --release --example serving
+
 echo "==> ingest example (decodes the Metrics frame over real sockets; skips itself where sockets are unavailable)"
 cargo run --release --example ingest
 

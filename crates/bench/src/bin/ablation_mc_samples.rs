@@ -75,10 +75,9 @@ fn main() {
             vibnn.clone(),
             ServeConfig {
                 max_batch: 128,
-                max_queue: 256,
                 workers: 1,
-                backend: None,
                 policy: Some(policy),
+                ..ServeConfig::default()
             },
             ZigguratGrng::new(35),
         )

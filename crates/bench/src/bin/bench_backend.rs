@@ -88,10 +88,9 @@ fn engine(
         vibnn,
         ServeConfig {
             max_batch,
-            max_queue: 256,
             workers,
             backend: Some(backend),
-            policy: None,
+            ..ServeConfig::default()
         },
         ZigguratGrng::new(EPS_SEED),
     )

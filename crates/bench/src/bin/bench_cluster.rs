@@ -4,10 +4,10 @@
 //! [`vibnn::cluster::ClusterEngine`] — single-row submissions through the
 //! cluster-level admission gate, routed across the replica pool and
 //! micro-batched per replica — over a `replicas × workers × max_batch`
-//! grid, against two baselines under the identical derived ε source: the
-//! single spawned [`vibnn::serve::ServeEngine`] queue and the raw batched
-//! `predict_proba_parallel` upper bound. Before timing anything it asserts
-//! the cluster determinism contract: every cluster result must be
+//! grid. The `replicas: 1` rows are the one-dispatcher baseline; the raw
+//! batched `predict_proba_parallel` call under the identical derived ε
+//! source is the upper bound. Before timing anything it asserts the
+//! cluster determinism contract: every cluster result must be
 //! bit-identical to the batched reference.
 //!
 //! Replica scaling is only a speedup when the host has cores to give the
@@ -24,7 +24,6 @@ use vibnn::bnn::replica_source;
 use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::grng::ZigguratGrng;
 use vibnn::nn::Matrix;
-use vibnn::serve::{ServeConfig, ServeEngine};
 use vibnn::{Vibnn, VibnnError};
 use vibnn_bench::{deploy, synth_rows, RunScale};
 
@@ -117,48 +116,6 @@ fn cluster_rps(vibnn: Vibnn, x: &Matrix, replicas: usize, workers: usize, max_ba
     x.rows() as f64 / elapsed
 }
 
-/// Requests/sec for the single spawned `ServeEngine` queue under the same
-/// derived ε source — the one-dispatcher baseline the cluster scales.
-fn single_engine_rps(
-    vibnn: Vibnn,
-    eps: ZigguratGrng,
-    x: &Matrix,
-    workers: usize,
-    max_batch: usize,
-) -> f64 {
-    let handle = ServeEngine::with_eps(
-        vibnn,
-        ServeConfig {
-            max_batch,
-            max_queue: 256,
-            workers,
-            backend: None,
-            policy: None,
-        },
-        eps,
-    )
-    .expect("valid serve config")
-    .spawn();
-    let start = Instant::now();
-    let mut ids = Vec::with_capacity(x.rows());
-    for r in 0..x.rows() {
-        let id = loop {
-            match handle.submit(x.row(r).to_vec()) {
-                Ok(id) => break id,
-                Err(VibnnError::QueueFull { .. }) => std::thread::yield_now(),
-                Err(e) => panic!("submit failed: {e}"),
-            }
-        };
-        ids.push(id);
-    }
-    for id in ids {
-        handle.wait(id).expect("result");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    handle.shutdown();
-    x.rows() as f64 / elapsed
-}
-
 fn main() {
     let scale = RunScale::from_env();
     let w = Workload::from_scale(scale);
@@ -207,21 +164,15 @@ fn main() {
     let replica_grid = [1usize, 2, 4];
     let workers_grid = [1usize, 2];
     let batch_grid = [1usize, 8, 32];
-    let mut single_rows = Vec::new();
     let mut rows = Vec::new();
     for &mb in &batch_grid {
         for &wk in &workers_grid {
-            let single = single_engine_rps(vibnn.clone(), eps.clone(), &x, wk, mb);
-            single_rows.push((mb, wk, single));
             for &n in &replica_grid {
                 // Warm-up pass, then measure.
                 let _ = cluster_rps(vibnn.clone(), &x, n, wk, mb);
                 let rps = cluster_rps(vibnn.clone(), &x, n, wk, mb);
-                println!(
-                    "replicas {n}  workers {wk}  max_batch {mb:3}  {rps:9.1} req/s \
-                     (single engine {single:9.1})"
-                );
-                rows.push((n, wk, mb, rps, single));
+                println!("replicas {n}  workers {wk}  max_batch {mb:3}  {rps:9.1} req/s");
+                rows.push((n, wk, mb, rps));
             }
         }
     }
@@ -230,7 +181,7 @@ fn main() {
     let best = |target: usize| {
         rows.iter()
             .filter(|(n, ..)| *n == target)
-            .map(|&(_, _, _, rps, _)| rps)
+            .map(|&(_, _, _, rps)| rps)
             .fold(0.0f64, f64::max)
     };
     let speedup_4v1 = best(4) / best(1);
@@ -254,28 +205,18 @@ fn main() {
     if host_parallelism < 4 {
         let _ = writeln!(
             json,
-            "  \"scaling_note\": \"host has {host_parallelism} core(s): replica dispatchers \
-             time-share the CPU, so added replicas cannot raise requests/sec here; the \
-             cluster path's value on this host is isolation + hot swap, and the \u{2265}2x \
+            "  \"scaling_note\": \"host has {host_parallelism} core(s): at most \
+             {host_parallelism} replica dispatchers run at once, so replicas beyond that \
+             time-share the CPU and cannot raise requests/sec; the \u{2265}2x 4-vs-1 \
              scaling target needs \u{2265}4 cores\","
         );
     }
-    json.push_str("  \"single_engine\": [\n");
-    for (i, (mb, wk, rps)) in single_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"max_batch\": {mb}, \"workers\": {wk}, \
-             \"queued_requests_per_sec\": {rps:.1}}}{}",
-            if i + 1 < single_rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n  \"grid\": [\n");
-    for (i, (n, wk, mb, rps, single)) in rows.iter().enumerate() {
+    json.push_str("  \"grid\": [\n");
+    for (i, (n, wk, mb, rps)) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
             "    {{\"replicas\": {n}, \"workers\": {wk}, \"max_batch\": {mb}, \
-             \"queued_requests_per_sec\": {rps:.1}, \
-             \"single_engine_requests_per_sec\": {single:.1}}}{}",
+             \"queued_requests_per_sec\": {rps:.1}}}{}",
             if i + 1 < rows.len() { "," } else { "" },
         );
     }

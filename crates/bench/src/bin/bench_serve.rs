@@ -1,12 +1,12 @@
 //! Machine-readable serving-engine benchmark: writes `BENCH_serve.json`.
 //!
-//! Measures end-to-end requests/sec of the thread-backed
-//! [`vibnn::serve::ServeEngine`] — single-row submissions through the
-//! backpressured queue, coalesced into micro-batches — over a
-//! `max_batch × workers` grid, plus the synchronous `submit_batch` path
-//! and the raw batched `predict_proba_parallel` upper bound. Before
-//! timing anything it asserts the serving determinism contract: engine
-//! results must be bit-identical to the one-shot batched call.
+//! Measures requests/sec of the synchronous
+//! [`vibnn::serve::ServeEngine::submit_batch`] path — rows split into
+//! micro-batches — over a `max_batch × workers` grid, plus the raw
+//! batched `predict_proba_parallel` upper bound. Before timing anything
+//! it asserts the serving determinism contract: engine results must be
+//! bit-identical to the one-shot batched call. Queued serving (single-row
+//! submissions through a backpressured queue) is `bench_cluster`'s job.
 //!
 //! It then compares sampling policies at one fixed configuration:
 //! `ExactN` (the pinned reference — re-asserted bit-identical to the
@@ -24,7 +24,7 @@ use vibnn::grng::ZigguratGrng;
 use vibnn::nn::Matrix;
 use vibnn::sampler::PolicySpec;
 use vibnn::serve::{ServeConfig, ServeEngine, ServeResult};
-use vibnn::{Vibnn, VibnnError};
+use vibnn::Vibnn;
 use vibnn_bench::{deploy, synth_rows, RunScale};
 
 const EPS_SEED: u64 = 0xBEAC;
@@ -83,10 +83,9 @@ fn policy_engine(
         vibnn,
         ServeConfig {
             max_batch,
-            max_queue: 256,
             workers,
-            backend: None,
             policy,
+            ..ServeConfig::default()
         },
         ZigguratGrng::new(EPS_SEED),
     )
@@ -121,31 +120,6 @@ fn policy_rps(
     let results = eng.submit_batch(x).expect("serve");
     let elapsed = start.elapsed().as_secs_f64();
     (x.rows() as f64 / elapsed, results)
-}
-
-/// Requests/sec for `requests` single-row submissions through the
-/// spawned queue (measured submit → last result, including queueing and
-/// backpressure spins).
-fn spawned_rps(vibnn: Vibnn, x: &Matrix, max_batch: usize, workers: usize) -> f64 {
-    let handle = engine(vibnn, max_batch, workers).spawn();
-    let start = Instant::now();
-    let mut ids = Vec::with_capacity(x.rows());
-    for r in 0..x.rows() {
-        let id = loop {
-            match handle.submit(x.row(r).to_vec()) {
-                Ok(id) => break id,
-                Err(VibnnError::QueueFull { .. }) => std::thread::yield_now(),
-                Err(e) => panic!("submit failed: {e}"),
-            }
-        };
-        ids.push(id);
-    }
-    for id in ids {
-        handle.wait(id).expect("result");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    handle.shutdown();
-    x.rows() as f64 / elapsed
 }
 
 /// Requests/sec for the synchronous `submit_batch` path (no queue; pure
@@ -198,11 +172,8 @@ fn main() {
             // Warm-up pass, then measure.
             let _ = sync_rps(vibnn.clone(), &x, mb, wk);
             let sync = sync_rps(vibnn.clone(), &x, mb, wk);
-            let queued = spawned_rps(vibnn.clone(), &x, mb, wk);
-            println!(
-                "max_batch {mb:3}  workers {wk}  sync {sync:9.1} req/s  queued {queued:9.1} req/s"
-            );
-            rows.push((mb, wk, sync, queued));
+            println!("max_batch {mb:3}  workers {wk}  sync {sync:9.1} req/s");
+            rows.push((mb, wk, sync));
         }
     }
 
@@ -253,12 +224,11 @@ fn main() {
     );
     let _ = writeln!(json, "  \"results_bit_identical_to_batched\": true,");
     json.push_str("  \"grid\": [\n");
-    for (i, (mb, wk, sync, queued)) in rows.iter().enumerate() {
+    for (i, (mb, wk, sync)) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
             "    {{\"max_batch\": {mb}, \"workers\": {wk}, \
-             \"sync_requests_per_sec\": {sync:.1}, \
-             \"queued_requests_per_sec\": {queued:.1}}}{}",
+             \"sync_requests_per_sec\": {sync:.1}}}{}",
             if i + 1 < rows.len() { "," } else { "" },
         );
     }

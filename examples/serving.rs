@@ -1,12 +1,13 @@
 //! Serving and checkpoints: train through the `Pipeline` builder, persist
 //! a resumable checkpoint and an exact deployment snapshot, then serve
-//! concurrent single-row requests through the micro-batching engine.
+//! single-row requests through the queued front end (a one-replica
+//! `ClusterEngine`), backing off on `QueueFull`.
 //!
 //! Run with: `cargo run --release --example serving`
 
 use vibnn::bnn::{BnnConfig, LrSchedule};
+use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::datasets::parkinson_original;
-use vibnn::serve::{ServeConfig, ServeEngine};
 use vibnn::{Pipeline, Vibnn, VibnnError};
 
 fn main() -> Result<(), VibnnError> {
@@ -45,26 +46,26 @@ fn main() -> Result<(), VibnnError> {
     let vibnn = Vibnn::load(&deploy_ckpt)?;
     println!("deployment checkpoint round-trip: {} bytes", std::fs::metadata(&deploy_ckpt)?.len());
 
-    // 3. Serve the test set as single-row requests through the
-    //    thread-backed micro-batching queue.
-    let engine = ServeEngine::new(
+    // 3. Serve the test set as single-row requests through the queued
+    //    front end: one replica, so one dispatcher micro-batching the
+    //    queue.
+    let cluster = ClusterEngine::new(
         vibnn,
-        ServeConfig {
+        ClusterConfig {
+            replicas: 1,
             max_batch: 16,
             max_queue: 256,
             workers: 0,
-            backend: None,
-            policy: None,
+            ..ClusterConfig::default()
         },
     )?;
-    let handle = engine.spawn();
     let n = ds.test_len().min(64);
     let mut ids = Vec::with_capacity(n);
     for r in 0..n {
         // Informed backoff: `QueueFull` reports how deep the queue is, so
         // the retry wait scales with the backlog instead of blind-spinning.
         let id = loop {
-            match handle.submit(ds.test_x.row(r).to_vec()) {
+            match cluster.submit(ds.test_x.row(r).to_vec()) {
                 Ok(id) => break id,
                 Err(VibnnError::QueueFull { depth, capacity }) => {
                     let backlog = depth as f64 / capacity.max(1) as f64;
@@ -80,11 +81,11 @@ fn main() -> Result<(), VibnnError> {
     let mut correct = 0usize;
     let mut mean_entropy = 0.0;
     for (r, id) in ids.into_iter().enumerate() {
-        let res = handle.wait(id)?;
+        let res = cluster.wait(id)?;
         correct += usize::from(res.argmax == ds.test_y[r]);
         mean_entropy += res.entropy;
     }
-    handle.shutdown();
+    cluster.shutdown();
     println!(
         "served {n} requests: accuracy {:.3}, mean predictive entropy {:.3} nats",
         correct as f64 / n as f64,

@@ -1,7 +1,8 @@
-//! Sharded multi-replica serving: a [`ClusterEngine`] scales the
-//! [`ServeEngine`] from one dispatcher to a pool of replicas with
-//! deterministic routing, shared admission control, live metrics, and hot
-//! checkpoint swap.
+//! The queued serving front end: a [`ClusterEngine`] puts one or more
+//! replicas of the synchronous [`ServeEngine`] behind one thread-backed
+//! request queue with backpressure, deterministic routing, live metrics,
+//! and hot checkpoint swap. It is the crate's only request queue; a
+//! one-replica cluster is the single-dispatcher case.
 //!
 //! The paper's accelerator is a single inference unit; the scale target is
 //! serving heavy traffic from many users. This module treats each deployed
@@ -362,39 +363,6 @@ enum Work<S: StreamFork + Sync> {
     },
 }
 
-/// What became of an accepted request, held in the shared result map
-/// until the submitter collects it.
-enum Outcome {
-    Served(ServeResult),
-    /// A [`PolicySpec::RiskTiered`] replica refused to answer ⇒
-    /// [`VibnnError::Abstained`] (typed, exactly attributable: the
-    /// caller learns the sample spend and the entropy that triggered
-    /// the refusal).
-    Abstained { samples_used: u32, entropy_milli: u32 },
-    /// Deadline expired in the queue ⇒ [`VibnnError::DeadlineExceeded`].
-    Expired,
-    /// Stranded behind a swap marker at shutdown ⇒
-    /// [`VibnnError::EngineStopped`].
-    Cancelled,
-}
-
-impl Outcome {
-    fn into_result(self) -> Result<ServeResult, VibnnError> {
-        match self {
-            Outcome::Served(r) => Ok(r),
-            Outcome::Abstained {
-                samples_used,
-                entropy_milli,
-            } => Err(VibnnError::Abstained {
-                samples_used,
-                entropy_milli,
-            }),
-            Outcome::Expired => Err(VibnnError::DeadlineExceeded),
-            Outcome::Cancelled => Err(VibnnError::EngineStopped),
-        }
-    }
-}
-
 /// The deterministic lane-aware micro-batch selection rule, as a pure
 /// function so the policy is testable without threads. `lanes` is the
 /// (lane, skip count) of each dequeueable request in queue order;
@@ -459,7 +427,10 @@ struct ReplicaState<S: StreamFork + Sync> {
 
 struct ClusterState<S: StreamFork + Sync> {
     replicas: Vec<ReplicaState<S>>,
-    results: HashMap<u64, Outcome>,
+    /// What became of each accepted request, held until the submitter
+    /// collects it: the served result or the typed error that consumed
+    /// the request.
+    results: HashMap<u64, Result<ServeResult, VibnnError>>,
     next_id: u64,
     /// Requests queued cluster-wide (the admission-control gauge).
     queued_total: usize,
@@ -512,7 +483,7 @@ fn cancel_stranded_requests<S: StreamFork + Sync>(st: &mut ClusterState<S>) {
         while i < st.replicas[r].queue.len() {
             if matches!(st.replicas[r].queue[i], Work::Request { .. }) {
                 if let Some(Work::Request { id, .. }) = st.replicas[r].queue.remove(i) {
-                    st.results.insert(id, Outcome::Cancelled);
+                    st.results.insert(id, Err(VibnnError::EngineStopped));
                     st.replicas[r].pending -= 1;
                     st.queued_total -= 1;
                     st.cancelled += 1;
@@ -689,6 +660,9 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
         if cfg.replicas == 0 {
             return Err(VibnnError::BadServeConfig("replicas must be positive"));
         }
+        if cfg.max_queue == 0 {
+            return Err(VibnnError::BadServeConfig("max_queue must be positive"));
+        }
         if slots.len() != cfg.replicas {
             return Err(VibnnError::BadServeConfig(
                 "one (backend, policy) slot per replica required",
@@ -696,10 +670,8 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
         }
         let serve_cfg = ServeConfig {
             max_batch: cfg.max_batch,
-            max_queue: cfg.max_queue,
             workers: cfg.workers,
-            backend: None,
-            policy: None,
+            ..ServeConfig::default()
         };
         let input_dim = vibnn.input_dim();
         let max_entropy = (vibnn.classes() as f64).ln();
@@ -952,11 +924,7 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
     /// request ([`VibnnError::DeadlineExceeded`] for in-queue expiry,
     /// [`VibnnError::EngineStopped`] for shutdown cancellation).
     pub fn try_take(&self, id: u64) -> Option<Result<ServeResult, VibnnError>> {
-        self.shared
-            .lock()
-            .results
-            .remove(&id)
-            .map(Outcome::into_result)
+        self.shared.lock().results.remove(&id)
     }
 
     /// Blocks until the outcome for `id` is ready and takes it.
@@ -976,7 +944,7 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
         }
         loop {
             if let Some(out) = st.results.remove(&id) {
-                return out.into_result();
+                return out;
             }
             // Any dead replica may hold this request forever; error out
             // instead of risking a hang. (Replicas die only on panic or
@@ -1186,10 +1154,7 @@ impl<S: StreamFork + Sync + Send + 'static> ClusterEngine<S> {
             .lock()
             .results
             .drain()
-            .filter_map(|(_, o)| match o {
-                Outcome::Served(r) => Some(r),
-                Outcome::Abstained { .. } | Outcome::Expired | Outcome::Cancelled => None,
-            })
+            .filter_map(|(_, out)| out.ok())
             .collect();
         leftover.sort_by_key(|r| r.id);
         leftover
@@ -1302,7 +1267,7 @@ fn dispatcher_loop<S: StreamFork + Sync + Send>(
                     };
                     if late {
                         if let Some(Work::Request { id, .. }) = rep.queue.remove(i) {
-                            stm.results.insert(id, Outcome::Expired);
+                            stm.results.insert(id, Err(VibnnError::DeadlineExceeded));
                             rep.pending -= 1;
                             stm.queued_total -= 1;
                             stm.deadline_expired += 1;
@@ -1375,7 +1340,7 @@ fn dispatcher_loop<S: StreamFork + Sync + Send>(
             let mut served = 0u64;
             for ((id, _, lane), mut outcome) in batch.into_iter().zip(outcomes) {
                 outcome.set_id(id);
-                match outcome {
+                match &outcome {
                     RowOutcome::Served(result) => {
                         // Uncertainty tap: a deque push + histogram
                         // increments per request under the lock already
@@ -1401,28 +1366,15 @@ fn dispatcher_loop<S: StreamFork + Sync + Send>(
                             .saturating_sub(1)
                             .min(hist_len - 1);
                         st.samples_hist[sb] += 1;
-                        st.results.insert(id, Outcome::Served(result));
                         match lane {
                             Priority::Interactive => st.served_interactive += 1,
                             Priority::Batch => st.served_batch += 1,
                         }
                         served += 1;
                     }
-                    RowOutcome::Abstained {
-                        samples_used,
-                        entropy_milli,
-                        ..
-                    } => {
-                        st.abstained += 1;
-                        st.results.insert(
-                            id,
-                            Outcome::Abstained {
-                                samples_used,
-                                entropy_milli,
-                            },
-                        );
-                    }
+                    RowOutcome::Abstained { .. } => st.abstained += 1,
                 }
+                st.results.insert(id, outcome.into_result());
             }
             st.served_total += served;
             let rep = &mut st.replicas[r];

@@ -59,7 +59,8 @@ pub enum VibnnError {
     QueueFull {
         /// Requests queued at the moment the submission was refused.
         depth: usize,
-        /// The configured `max_queue`.
+        /// The configured
+        /// [`ClusterConfig::max_queue`](crate::cluster::ClusterConfig::max_queue).
         capacity: usize,
     },
     /// The request's deadline passed before a replica computed it — at

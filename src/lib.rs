@@ -45,7 +45,7 @@ pub use ingest::{IngestClient, IngestConfig, IngestServer};
 pub use online::{OnlineConfig, OnlineEvent, OnlineEventKind, OnlineReport, OnlineRuntime, RoundReport};
 pub use pipeline::{Deployed, Pipeline, TrainedPipeline};
 pub use sampler::{PolicySpec, SampleDecision, SampleObservation, SamplingPolicy};
-pub use serve::{ServeConfig, ServeEngine, ServeHandle, ServeResult};
+pub use serve::{ServeConfig, ServeEngine, ServeResult};
 
 pub use vibnn_bnn as bnn;
 pub use vibnn_datasets as datasets;

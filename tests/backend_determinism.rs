@@ -67,10 +67,9 @@ fn engine(vibnn: Vibnn, backend: Option<BackendKind>, workers: usize) -> ServeEn
         vibnn,
         ServeConfig {
             max_batch: 4,
-            max_queue: 64,
             workers,
             backend,
-            policy: None,
+            ..ServeConfig::default()
         },
         ZigguratGrng::new(EPS_SEED),
     )

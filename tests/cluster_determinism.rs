@@ -110,10 +110,8 @@ fn cluster_matches_single_engine_and_batched_path() {
         vibnn.clone(),
         ServeConfig {
             max_batch: 4,
-            max_queue: 64,
             workers: 1,
-            backend: None,
-            policy: None,
+            ..ServeConfig::default()
         },
         probe_eps,
     )

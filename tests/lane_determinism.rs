@@ -205,10 +205,8 @@ fn serving_inherits_the_lane_contract() {
             deployed(),
             ServeConfig {
                 max_batch: 4,
-                max_queue: 64,
                 workers,
-                backend: None,
-                policy: None,
+                ..ServeConfig::default()
             },
             ZigguratGrng::new(EPS_SEED),
         )

@@ -1,14 +1,16 @@
 //! The serving engine's determinism contract, pinned end to end:
 //!
 //! For any interleaving of N single-row requests — any arrival order, any
-//! micro-batch coalescing, any worker count (1/2/4), synchronous or
-//! thread-backed — the per-request mean probabilities are **bit-identical**
-//! to the one-shot batched `Vibnn::predict_proba_parallel` call over the
-//! same N rows with the engine's ε source.
+//! micro-batch coalescing, any worker count (1/2/4), synchronous or queued
+//! through a one-replica `ClusterEngine` — the per-request mean
+//! probabilities are **bit-identical** to the one-shot batched
+//! `Vibnn::predict_proba_parallel` call over the same N rows with the
+//! serving ε source.
 //!
 //! Run explicitly by `ci.sh`.
 
 use vibnn::bnn::{Bnn, BnnConfig};
+use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::grng::ZigguratGrng;
 use vibnn::nn::{GaussianInit, Matrix};
 use vibnn::serve::{ServeConfig, ServeEngine};
@@ -58,14 +60,33 @@ fn engine(vibnn: Vibnn, max_batch: usize, workers: usize) -> ServeEngine<Ziggura
         vibnn,
         ServeConfig {
             max_batch,
-            max_queue: 64,
             workers,
-            backend: None,
-            policy: None,
+            ..ServeConfig::default()
         },
         ZigguratGrng::new(EPS_SEED),
     )
     .expect("valid serve config")
+}
+
+/// The queued front end with one dispatcher: a one-replica cluster.
+fn queued(
+    vibnn: Vibnn,
+    max_batch: usize,
+    max_queue: usize,
+    workers: usize,
+) -> ClusterEngine<ZigguratGrng> {
+    ClusterEngine::with_eps(
+        vibnn,
+        ClusterConfig {
+            replicas: 1,
+            max_batch,
+            max_queue,
+            workers,
+            ..ClusterConfig::default()
+        },
+        ZigguratGrng::new(EPS_SEED),
+    )
+    .expect("valid cluster config")
 }
 
 fn bits(row: &[f32]) -> Vec<u32> {
@@ -105,8 +126,7 @@ fn sync_serving_is_bit_identical_to_batched_parallel_inference() {
 #[test]
 fn arrival_order_never_changes_results() {
     let x = request_rows();
-    let reference = deployed().predict_proba_parallel(&x, &ZigguratGrng::new(EPS_SEED), 1);
-    // Several arrival orders, served through the threaded queue one
+    // Several arrival orders, served through the queued front end one
     // request at a time; results keyed by submission id map back to the
     // original row.
     let orders: [Vec<usize>; 3] = [
@@ -116,11 +136,12 @@ fn arrival_order_never_changes_results() {
     ];
     for (o, order) in orders.iter().enumerate() {
         for workers in [1usize, 2, 4] {
-            let handle = engine(deployed(), 4, workers).spawn();
+            let cluster = queued(deployed(), 4, 64, workers);
+            let reference = deployed().predict_proba_parallel(&x, &cluster.replica_eps(), 1);
             let mut ids = [0u64; REQUESTS];
             for &row in order {
                 let id = loop {
-                    match handle.submit(x.row(row).to_vec()) {
+                    match cluster.submit(x.row(row).to_vec()) {
                         Ok(id) => break id,
                         Err(VibnnError::QueueFull { .. }) => std::thread::yield_now(),
                         Err(e) => panic!("submit failed: {e}"),
@@ -129,14 +150,14 @@ fn arrival_order_never_changes_results() {
                 ids[row] = id;
             }
             for (row, &id) in ids.iter().enumerate() {
-                let res = handle.wait(id).expect("result");
+                let res = cluster.wait(id).expect("result");
                 assert_eq!(
                     bits(&res.proba),
                     bits(reference.row(row)),
                     "order {o}, workers {workers}, row {row} diverged"
                 );
             }
-            let leftovers = handle.shutdown();
+            let leftovers = cluster.shutdown();
             assert!(leftovers.is_empty(), "all results were claimed");
         }
     }
@@ -163,25 +184,13 @@ fn backpressure_and_shutdown_are_well_behaved() {
     // expected (and tolerated), every accepted request must still be
     // answered correctly, and shutdown drains the queue.
     let x = request_rows();
-    let reference = deployed().predict_proba_parallel(&x, &ZigguratGrng::new(EPS_SEED), 1);
-    let handle = ServeEngine::with_eps(
-        deployed(),
-        ServeConfig {
-            max_batch: 2,
-            max_queue: 1,
-            workers: 1,
-            backend: None,
-            policy: None,
-        },
-        ZigguratGrng::new(EPS_SEED),
-    )
-    .expect("valid serve config")
-    .spawn();
+    let cluster = queued(deployed(), 2, 1, 1);
+    let reference = deployed().predict_proba_parallel(&x, &cluster.replica_eps(), 1);
     let mut accepted: Vec<(usize, u64)> = Vec::new();
     let mut full_seen = 0usize;
     for round in 0..5 {
         for row in 0..REQUESTS {
-            match handle.submit(x.row(row).to_vec()) {
+            match cluster.submit(x.row(row).to_vec()) {
                 Ok(id) => accepted.push((row, id)),
                 Err(VibnnError::QueueFull {
                     depth: 1,
@@ -194,22 +203,24 @@ fn backpressure_and_shutdown_are_well_behaved() {
     // We can't force a Full deterministically with a live dispatcher, but
     // every accepted request must resolve to the reference bits.
     for &(row, id) in &accepted {
-        let res = handle.wait(id).expect("result");
+        let res = cluster.wait(id).expect("result");
         assert_eq!(bits(&res.proba), bits(reference.row(row)), "row {row}");
     }
-    let _ = full_seen; // informational; the capacity gate is unit-tested
-    assert!(handle.shutdown().is_empty());
+    // Every refusal was counted, and nothing else was.
+    assert_eq!(cluster.metrics().rejected, full_seen as u64);
+    assert_eq!(cluster.metrics().served, accepted.len() as u64);
+    assert!(cluster.shutdown().is_empty());
 }
 
 #[test]
 fn waiting_for_an_unknown_id_is_a_typed_error() {
-    let handle = engine(deployed(), 2, 1).spawn();
-    let id = handle.submit(vec![0.0; FEATURES]).unwrap();
-    let _ = handle.wait(id).unwrap();
+    let cluster = queued(deployed(), 2, 64, 1);
+    let id = cluster.submit(vec![0.0; FEATURES]).unwrap();
+    let _ = cluster.wait(id).unwrap();
     // Waiting for an id that was never issued fails fast instead of
     // hanging.
     assert!(matches!(
-        handle.wait(1_000),
+        cluster.wait(1_000),
         Err(VibnnError::UnknownRequest(1_000))
     ));
 }
