@@ -46,10 +46,11 @@ for field in phase_seconds allocations_per_step; do
         || { echo "FAIL: BENCH_train.json lacks the $field breakdown"; exit 1; }
 done
 
-echo "==> VIBNN_SCALE=quick serving bench (machine-readable, asserts serve == batched and ExactN == batched)"
+echo "==> VIBNN_SCALE=quick serving bench (software/quantized/cycle grid, asserts determinism before timing)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_serve.json" \
     cargo run --release -p vibnn_bench --bin bench_serve
-for field in samples_used_mean policy_speedup; do
+for field in samples_used_mean policy_speedup cycles_per_request energy_nj_per_request \
+    stage_seconds host_ns_per_mac energy_nj_per_mac; do
     grep -q "\"$field\"" target/BENCH_serve.json \
         || { echo "FAIL: BENCH_serve.json lacks the $field field"; exit 1; }
 done
@@ -61,14 +62,6 @@ VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_cluster.json" \
 echo "==> VIBNN_SCALE=quick ingest bench (real sockets, asserts wire == direct submit; writes a stub if sockets are unavailable)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_ingest.json" \
     cargo run --release -p vibnn_bench --bin bench_ingest
-
-echo "==> VIBNN_SCALE=quick backend bench (software/quantized/cycle, asserts determinism before timing)"
-VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_backend.json" \
-    cargo run --release -p vibnn_bench --bin bench_backend
-for field in cycles_per_request energy_nj_per_request stage_seconds host_ns_per_mac energy_nj_per_mac; do
-    grep -q "\"$field\"" target/BENCH_backend.json \
-        || { echo "FAIL: BENCH_backend.json lacks the $field field"; exit 1; }
-done
 
 echo "==> VIBNN_SCALE=quick online bench (drift loop, asserts report bit-identity and adaptive >= baseline)"
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_online.json" \

@@ -25,7 +25,7 @@ use vibnn::cluster::{ClusterConfig, ClusterEngine};
 use vibnn::grng::ZigguratGrng;
 use vibnn::nn::Matrix;
 use vibnn::{Vibnn, VibnnError};
-use vibnn_bench::{deploy, synth_rows, RunScale};
+use vibnn_bench::{bits, deploy, synth_rows, write_report, RunScale};
 
 const CLUSTER_SEED: u64 = 0xC1BEAC;
 
@@ -146,12 +146,11 @@ fn main() {
             .collect();
         for (r, id) in ids.into_iter().enumerate() {
             let res = c.wait(id).expect("result");
-            let same = res
-                .proba
-                .iter()
-                .zip(reference.row(r))
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "cluster diverged from batched inference at row {r}");
+            assert_eq!(
+                bits(&res.proba),
+                bits(reference.row(r)),
+                "cluster diverged from batched inference at row {r}"
+            );
         }
         c.shutdown();
     }
@@ -222,10 +221,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path =
-        std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_cluster.json".to_owned());
-    std::fs::write(&path, &json).expect("write benchmark output");
-    println!("wrote {path}");
+    write_report("BENCH_cluster.json", &json);
     println!(
         "batched upper bound {batched_rps:.1} req/s; 4-vs-1 replica speedup {speedup_4v1:.2}x \
          on {host_parallelism} core(s)"

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibnn_bench::RunScale;
+use vibnn_bench::{write_report, RunScale};
 use vibnn_grng::{
     BnnWallaceGrng, BoxMullerGrng, CdfInversionGrng, CltGrng, GaussianSource, ParallelRlfGrng,
     SoftwareWallace, WallaceNss, ZigguratGrng,
@@ -103,11 +103,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path =
-        std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_grng.json".to_owned());
-    std::fs::write(&path, &json).expect("write benchmark output");
-
-    println!("wrote {path}");
+    write_report("BENCH_grng.json", &json);
     for m in &rows {
         println!(
             "{:<24} scalar {:>10.2} Msamples/s   block {:>10.2} Msamples/s   x{:.2}",

@@ -33,7 +33,7 @@ use vibnn::grng::ZigguratGrng;
 use vibnn::nn::Matrix;
 use vibnn::rng::{BitSource, SplitMix64};
 use vibnn::{IngestClient, IngestConfig, IngestServer, Priority, Vibnn};
-use vibnn_bench::{deploy, synth_rows, RunScale};
+use vibnn_bench::{bits, deploy, synth_rows, write_report, RunScale};
 
 const CLUSTER_SEED: u64 = 0x16E57;
 const SCHEDULE_SEED: u64 = 0xA881;
@@ -285,8 +285,6 @@ fn main() {
     let sizes = [w.features, w.hidden, w.classes];
     let vibnn = deploy(&sizes, w.mc_samples, w.train_epochs);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let out_path =
-        std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_owned());
 
     // The reference the wire must reproduce: direct ClusterEngine::submit
     // against an identically seeded cluster.
@@ -297,14 +295,7 @@ fn main() {
             .collect();
         let rows = ids
             .into_iter()
-            .map(|id| {
-                c.wait(id)
-                    .expect("direct result")
-                    .proba
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            })
+            .map(|id| bits(&c.wait(id).expect("direct result").proba))
             .collect();
         c.shutdown();
         rows
@@ -318,8 +309,8 @@ fn main() {
                 "{{\n  \"scale\": \"{scale:?}\",\n  \"sockets_available\": false,\n  \
                  \"note\": \"{e}\"\n}}\n"
             );
-            std::fs::write(&out_path, stub).expect("write benchmark output");
-            println!("sockets unavailable ({e}); wrote stub {out_path}");
+            println!("sockets unavailable ({e}); writing a stub");
+            write_report("BENCH_ingest.json", &stub);
             return;
         }
     };
@@ -333,8 +324,7 @@ fn main() {
             let res = client
                 .predict_with(x.row(r), lane_of(r), 0)
                 .expect("gate predict");
-            let got: Vec<u32> = res.proba.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(&got, expect, "wire single-predict diverged at row {r}");
+            assert_eq!(&bits(&res.proba), expect, "wire single-predict diverged at row {r}");
         }
         let rows: Vec<Vec<f32>> = (0..x.rows()).map(|r| x.row(r).to_vec()).collect();
         let outcomes = client
@@ -342,8 +332,7 @@ fn main() {
             .expect("gate batch");
         for (r, outcome) in outcomes.iter().enumerate() {
             let res = outcome.as_ref().expect("gate batch row");
-            let got: Vec<u32> = res.proba.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(&got, &direct[r], "wire batch-predict diverged at row {r}");
+            assert_eq!(bits(&res.proba), direct[r], "wire batch-predict diverged at row {r}");
         }
     }
 
@@ -408,6 +397,5 @@ fn main() {
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write benchmark output");
-    println!("wrote {out_path}");
+    write_report("BENCH_ingest.json", &json);
 }

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use vibnn::datasets::{Drift, DriftStream, SynthSpec};
 use vibnn::online::{OnlineConfig, OnlineEventKind, OnlineReport, OnlineRuntime};
-use vibnn_bench::RunScale;
+use vibnn_bench::{write_report, RunScale};
 
 const STREAM_SEED: u64 = 0xD21F7;
 
@@ -272,9 +272,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_online.json".to_owned());
-    std::fs::write(&path, &json).expect("write benchmark output");
-    println!("wrote {path}");
+    write_report("BENCH_online.json", &json);
     println!(
         "post-drift accuracy: adaptive {:.1}% vs frozen baseline {:.1}% \
          ({} triggers, {} swaps)",

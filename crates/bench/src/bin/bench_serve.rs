@@ -1,18 +1,35 @@
 //! Machine-readable serving-engine benchmark: writes `BENCH_serve.json`.
 //!
-//! Measures requests/sec of the synchronous
-//! [`vibnn::serve::ServeEngine::submit_batch`] path — rows split into
-//! micro-batches — over a `max_batch × workers` grid, plus the raw
-//! batched `predict_proba_parallel` upper bound. Before timing anything
-//! it asserts the serving determinism contract: engine results must be
-//! bit-identical to the one-shot batched call. Queued serving (single-row
-//! submissions through a backpressured queue) is `bench_cluster`'s job.
+//! Measures the synchronous [`vibnn::serve::ServeEngine::submit_batch`]
+//! path — rows split into micro-batches — over one grid of the three
+//! [`vibnn::backend::InferenceBackend`]s (software float, quantized host,
+//! the cycle-ticked accelerator model) × `max_batch` × `workers`, plus
+//! the raw batched `predict_proba_parallel` upper bound. Each grid row is
+//! one timed pass that reports requests/sec beside the hardware ledger
+//! per request: cycles/request and nJ/request from the
+//! [`vibnn::backend::BackendCost`] the engine accumulates (zero for host
+//! backends by contract). Queued serving (single-row submissions through
+//! a backpressured queue) is `bench_cluster`'s job.
+//!
+//! Two per-MAC figures sit beside the throughput. Quantized rows carry
+//! `stage_seconds`, which splits the same request stream into weight
+//! generation, the integer forward, and softmax plus the Monte Carlo
+//! reduction, timed around the public calls the backend makes
+//! (`QuantizedBnn::sample_weights_with`, `forward_with_weights`,
+//! `softmax_rows`, `reduce_mean`); `host_ns_per_mac` is the forward time
+//! per integer MAC. Cycle rows carry `energy_nj_per_mac`, the ledger's
+//! energy per request over the MACs a request performs.
 //!
 //! It then compares sampling policies at one fixed configuration:
-//! `ExactN` (the pinned reference — re-asserted bit-identical to the
-//! batched call before its timing counts) against `EarlyExit`, reporting
+//! `ExactN` (the pinned reference) against `EarlyExit`, reporting
 //! requests/sec, accuracy on the synthetic labels, the mean
 //! `samples_used`, and the resulting `policy_speedup`.
+//!
+//! Before timing anything it asserts the determinism contract: every
+//! backend gives the same bits at 1 and 4 workers, the quantized backend
+//! and its stage-by-stage replay equal the batched path, the cycle
+//! backend equals the ticked functional model, and `ExactN` equals the
+//! batched path while drawing every Monte Carlo sample.
 //!
 //! Output path: `$VIBNN_BENCH_OUT` if set, else `BENCH_serve.json` in the
 //! working directory. `VIBNN_SCALE=quick` shrinks the workload.
@@ -20,14 +37,22 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use vibnn::grng::ZigguratGrng;
-use vibnn::nn::Matrix;
+use vibnn::bnn::reduce_mean;
+use vibnn::grng::{StreamFork, ZigguratGrng};
+use vibnn::hw::CycleAccelerator;
+use vibnn::nn::{softmax_rows, Matrix};
 use vibnn::sampler::PolicySpec;
 use vibnn::serve::{ServeConfig, ServeEngine, ServeResult};
-use vibnn::Vibnn;
-use vibnn_bench::{deploy, synth_rows, RunScale};
+use vibnn::{BackendKind, Vibnn};
+use vibnn_bench::{bits, deploy, synth_rows, write_report, RunScale};
 
 const EPS_SEED: u64 = 0xBEAC;
+
+const BACKENDS: [BackendKind; 3] = [
+    BackendKind::Software,
+    BackendKind::Quantized,
+    BackendKind::Cycle,
+];
 
 struct Workload {
     features: usize,
@@ -69,12 +94,9 @@ impl Workload {
     }
 }
 
-fn engine(vibnn: Vibnn, max_batch: usize, workers: usize) -> ServeEngine<ZigguratGrng> {
-    policy_engine(vibnn, max_batch, workers, None)
-}
-
-fn policy_engine(
+fn engine(
     vibnn: Vibnn,
+    backend: BackendKind,
     max_batch: usize,
     workers: usize,
     policy: Option<PolicySpec>,
@@ -84,12 +106,153 @@ fn policy_engine(
         ServeConfig {
             max_batch,
             workers,
+            backend: Some(backend),
             policy,
             ..ServeConfig::default()
         },
         ZigguratGrng::new(EPS_SEED),
     )
     .expect("valid serve config")
+}
+
+fn served_bits(vibnn: &Vibnn, backend: BackendKind, x: &Matrix, workers: usize) -> Vec<Vec<u32>> {
+    engine(vibnn.clone(), backend, 8, workers, None)
+        .submit_batch(x)
+        .expect("serve")
+        .iter()
+        .map(|res| bits(&res.proba))
+        .collect()
+}
+
+/// Every pre-timing gate against `reference` (the batched path's bits):
+/// worker-count invariance for every backend, quantized == batched path
+/// (served and replayed stage by stage), cycle == ticked model, and
+/// `ExactN` == batched path at full samples.
+fn assert_determinism(vibnn: &Vibnn, x: &Matrix, reference: &[Vec<u32>]) {
+    for backend in BACKENDS {
+        let one = served_bits(vibnn, backend, x, 1);
+        let four = served_bits(vibnn, backend, x, 4);
+        assert_eq!(one, four, "{backend:?} not worker-count invariant");
+        if backend == BackendKind::Quantized {
+            assert_eq!(
+                one, reference,
+                "quantized backend diverged from the batched path"
+            );
+        }
+        if backend == BackendKind::Cycle {
+            let mut sim = CycleAccelerator::new(vibnn.config().clone(), vibnn.network().clone());
+            let eps = ZigguratGrng::new(EPS_SEED);
+            for (r, row) in one.iter().enumerate() {
+                let ticked = sim.infer_forked(x.row(r), &eps).0;
+                assert_eq!(row, &bits(&ticked), "cycle backend diverged at row {r}");
+            }
+        }
+    }
+    for mb in [1, 8, 32] {
+        quantized_stages(vibnn, x, mb, reference);
+    }
+    let exact = engine(
+        vibnn.clone(),
+        BackendKind::Quantized,
+        128,
+        1,
+        Some(PolicySpec::ExactN),
+    )
+    .submit_batch(x)
+    .expect("serve");
+    for (r, res) in exact.iter().enumerate() {
+        assert_eq!(bits(&res.proba), reference[r], "ExactN diverged at row {r}");
+        assert_eq!(res.samples_used as usize, vibnn.mc_samples());
+    }
+}
+
+/// One grid row's timed pass: throughput and the per-request ledger.
+struct Row {
+    rps: f64,
+    cycles_per_request: f64,
+    energy_nj_per_request: f64,
+}
+
+/// Seconds spent in each stage of the quantized backend over the whole
+/// request stream, and the integer MACs the forward stage performed.
+#[derive(Default)]
+struct Stages {
+    weights: f64,
+    forward: f64,
+    softmax_reduce: f64,
+    macs: f64,
+}
+
+/// Integer MACs one row costs per Monte Carlo sample.
+fn macs_per_row(vibnn: &Vibnn) -> usize {
+    vibnn
+        .network()
+        .layer_sizes()
+        .windows(2)
+        .map(|p| p[0] * p[1])
+        .sum()
+}
+
+/// The quantized backend's micro-batches run stage by stage from the
+/// public calls it makes: per sample `s`, weights from `eps.fork(s)`,
+/// the integer forward and the softmax; per micro-batch the reduction.
+/// Every mean row is checked against `reference` (the batched path's
+/// bits), so the stages timed are the ones that produce the served bits.
+fn quantized_stages(vibnn: &Vibnn, x: &Matrix, max_batch: usize, reference: &[Vec<u32>]) -> Stages {
+    let q = vibnn.network();
+    let eps = ZigguratGrng::new(EPS_SEED);
+    let mut st = Stages::default();
+    let mut eps_scratch = Vec::new();
+    for start in (0..x.rows()).step_by(max_batch) {
+        let chunk = x.rows_slice(start, (start + max_batch).min(x.rows()));
+        let mut members = Vec::with_capacity(vibnn.mc_samples());
+        for s in 0..vibnn.mc_samples() {
+            let t = Instant::now();
+            let weights = q.sample_weights_with(&mut eps.fork(s as u64), &mut eps_scratch);
+            st.weights += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let mut probs = q.forward_with_weights(&chunk, &weights);
+            st.forward += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            softmax_rows(&mut probs);
+            st.softmax_reduce += t.elapsed().as_secs_f64();
+            members.push(probs);
+        }
+        let t = Instant::now();
+        let mean = reduce_mean(&members);
+        st.softmax_reduce += t.elapsed().as_secs_f64();
+        st.macs += (chunk.rows() * macs_per_row(vibnn) * vibnn.mc_samples()) as f64;
+        for r in 0..chunk.rows() {
+            assert_eq!(
+                bits(mean.row(r)),
+                reference[start + r],
+                "stage-by-stage quantized path diverged at row {}",
+                start + r
+            );
+        }
+    }
+    st
+}
+
+/// One timed `submit_batch_costed` pass over the whole request stream.
+fn measure(
+    vibnn: &Vibnn,
+    backend: BackendKind,
+    x: &Matrix,
+    max_batch: usize,
+    workers: usize,
+) -> Row {
+    let eng = engine(vibnn.clone(), backend, max_batch, workers, None);
+    let start = Instant::now();
+    let (results, cost) = eng.submit_batch_costed(x).expect("serve");
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(results.len(), x.rows());
+    let n = x.rows() as f64;
+    Row {
+        rps: n / elapsed,
+        cycles_per_request: cost.cycles as f64 / n,
+        energy_nj_per_request: cost.energy_nj / n,
+    }
 }
 
 fn accuracy(results: &[ServeResult], y: &[usize]) -> f64 {
@@ -106,31 +269,15 @@ fn mean_samples(results: &[ServeResult]) -> f64 {
     total as f64 / results.len().max(1) as f64
 }
 
-/// Times the synchronous micro-batched path under one sampling policy,
-/// returning `(requests/sec, results)`.
-fn policy_rps(
-    vibnn: Vibnn,
-    x: &Matrix,
-    max_batch: usize,
-    policy: PolicySpec,
-) -> (f64, Vec<ServeResult>) {
-    let eng = policy_engine(vibnn, max_batch, 1, Some(policy));
+/// Times the quantized micro-batched path under one sampling policy at
+/// `max_batch` 128 and one worker, returning `(requests/sec, results)`.
+fn policy_rps(vibnn: &Vibnn, x: &Matrix, policy: PolicySpec) -> (f64, Vec<ServeResult>) {
+    let eng = engine(vibnn.clone(), BackendKind::Quantized, 128, 1, Some(policy));
     let _ = eng.submit_batch(x).expect("warm-up serve");
     let start = Instant::now();
     let results = eng.submit_batch(x).expect("serve");
     let elapsed = start.elapsed().as_secs_f64();
     (x.rows() as f64 / elapsed, results)
-}
-
-/// Requests/sec for the synchronous `submit_batch` path (no queue; pure
-/// micro-batched compute).
-fn sync_rps(vibnn: Vibnn, x: &Matrix, max_batch: usize, workers: usize) -> f64 {
-    let eng = engine(vibnn, max_batch, workers);
-    let start = Instant::now();
-    let results = eng.submit_batch(x).expect("serve");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(results.len(), x.rows());
-    x.rows() as f64 / elapsed
 }
 
 fn main() {
@@ -139,62 +286,79 @@ fn main() {
     let (x, y) = synth_rows(w.requests, w.features, 17);
     let sizes = [w.features, w.hidden, w.classes];
     let vibnn = deploy(&sizes, w.mc_samples, w.train_epochs);
-
-    // Determinism gate: engine rows must be bit-identical to the batched
-    // parallel call before any number is worth reporting.
     let reference = vibnn.predict_proba_parallel(&x, &ZigguratGrng::new(EPS_SEED), 1);
-    let served = engine(vibnn.clone(), 16, 2)
-        .submit_batch(&x)
-        .expect("serve");
-    for (r, res) in served.iter().enumerate() {
-        let same = res
-            .proba
-            .iter()
-            .zip(reference.row(r))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "serving diverged from batched inference at row {r}");
-    }
+    let reference: Vec<Vec<u32>> = (0..x.rows()).map(|r| bits(reference.row(r))).collect();
+
+    assert_determinism(&vibnn, &x, &reference);
 
     // The raw batched upper bound (one predict_proba_parallel call).
     let start = Instant::now();
-    let _ = std::hint::black_box(vibnn.predict_proba_parallel(
-        &x,
-        &ZigguratGrng::new(EPS_SEED),
-        0,
-    ));
+    let _ = std::hint::black_box(vibnn.predict_proba_parallel(&x, &ZigguratGrng::new(EPS_SEED), 0));
     let batched_rps = x.rows() as f64 / start.elapsed().as_secs_f64();
 
-    let max_batches = [1usize, 8, 32];
-    let workers_grid = [1usize, 2, 4];
-    let mut rows = Vec::new();
-    for &mb in &max_batches {
-        for &wk in &workers_grid {
-            // Warm-up pass, then measure.
-            let _ = sync_rps(vibnn.clone(), &x, mb, wk);
-            let sync = sync_rps(vibnn.clone(), &x, mb, wk);
-            println!("max_batch {mb:3}  workers {wk}  sync {sync:9.1} req/s");
-            rows.push((mb, wk, sync));
+    let macs_per_request = (macs_per_row(&vibnn) * w.mc_samples) as f64;
+    let mut grid = String::new();
+    for backend in BACKENDS {
+        for mb in [1usize, 8, 32] {
+            // The stage split does not depend on the worker count: one
+            // warm-up and one timed replay per max_batch.
+            let stages = (backend == BackendKind::Quantized).then(|| {
+                let _ = quantized_stages(&vibnn, &x, mb, &reference);
+                quantized_stages(&vibnn, &x, mb, &reference)
+            });
+            for wk in [1usize, 2, 4] {
+                // Warm-up pass, then measure.
+                let _ = measure(&vibnn, backend, &x, mb, wk);
+                let row = measure(&vibnn, backend, &x, mb, wk);
+                println!(
+                    "{backend:>9?}  max_batch {mb:3}  workers {wk}  {:10.1} req/s  \
+                     {:8.1} cycles/req  {:10.2} nJ/req",
+                    row.rps, row.cycles_per_request, row.energy_nj_per_request
+                );
+                let mut extra = String::new();
+                if let Some(st) = &stages {
+                    let _ = write!(
+                        extra,
+                        ", \"stage_seconds\": {{\"weights\": {:.6}, \"forward\": {:.6}, \
+                         \"softmax_reduce\": {:.6}}}, \"host_ns_per_mac\": {:.4}",
+                        st.weights,
+                        st.forward,
+                        st.softmax_reduce,
+                        st.forward * 1e9 / st.macs
+                    );
+                }
+                if backend == BackendKind::Cycle {
+                    let _ = write!(
+                        extra,
+                        ", \"energy_nj_per_mac\": {:.4}",
+                        row.energy_nj_per_request / macs_per_request
+                    );
+                }
+                let _ = write!(
+                    grid,
+                    "{}    {{\"backend\": \"{backend:?}\", \"max_batch\": {mb}, \
+                     \"workers\": {wk}, \"requests_per_sec\": {:.1}, \
+                     \"cycles_per_request\": {:.1}, \"energy_nj_per_request\": {:.3}{extra}}}",
+                    if grid.is_empty() { "" } else { ",\n" },
+                    row.rps,
+                    row.cycles_per_request,
+                    row.energy_nj_per_request,
+                );
+            }
         }
     }
 
-    // Sampling-policy comparison at one fixed configuration. `ExactN`
-    // is the pinned reference: its bits must match the batched parallel
-    // call (the historical serve path) before its timing counts.
-    let early = PolicySpec::EarlyExit {
-        k: 2,
-        min_samples: 2,
-    };
-    let (exact_rps, exact_results) = policy_rps(vibnn.clone(), &x, 128, PolicySpec::ExactN);
-    for (r, res) in exact_results.iter().enumerate() {
-        let same = res
-            .proba
-            .iter()
-            .zip(reference.row(r))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "ExactN diverged from the batched reference at row {r}");
-        assert_eq!(res.samples_used as usize, w.mc_samples);
-    }
-    let (early_rps, early_results) = policy_rps(vibnn.clone(), &x, 128, early);
+    // Sampling-policy comparison at one fixed configuration; `ExactN`'s
+    // bits were pinned to the batched path before timing.
+    let (exact_rps, exact_results) = policy_rps(&vibnn, &x, PolicySpec::ExactN);
+    let (early_rps, early_results) = policy_rps(
+        &vibnn,
+        &x,
+        PolicySpec::EarlyExit {
+            k: 2,
+            min_samples: 2,
+        },
+    );
     let exact_acc = accuracy(&exact_results, &y);
     let early_acc = accuracy(&early_results, &y);
     let early_mean_samples = mean_samples(&early_results);
@@ -208,6 +372,7 @@ fn main() {
         "policy early-exit  {early_rps:9.1} req/s  acc {early_acc:.3}  \
          mean samples {early_mean_samples:.2}  speedup {policy_speedup:.2}x"
     );
+    println!("batched parallel upper bound: {batched_rps:.1} req/s");
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": \"{scale:?}\",");
@@ -222,20 +387,12 @@ fn main() {
         json,
         "  \"batched_parallel_upper_bound_rps\": {batched_rps:.1},"
     );
-    let _ = writeln!(json, "  \"results_bit_identical_to_batched\": true,");
-    json.push_str("  \"grid\": [\n");
-    for (i, (mb, wk, sync)) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"max_batch\": {mb}, \"workers\": {wk}, \
-             \"sync_requests_per_sec\": {sync:.1}}}{}",
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
+    let _ = writeln!(json, "  \"determinism_asserted_before_timing\": true,");
+    let _ = writeln!(json, "  \"grid\": [\n{grid}\n  ],");
     json.push_str("  \"policy_comparison\": {\n");
-    json.push_str("    \"config\": {\"max_batch\": 128, \"workers\": 1},\n");
-    let _ = writeln!(json, "    \"exact_n_bit_identical_to_batched\": true,");
+    json.push_str(
+        "    \"config\": {\"backend\": \"Quantized\", \"max_batch\": 128, \"workers\": 1},\n",
+    );
     let _ = writeln!(
         json,
         "    \"exact_n\": {{\"requests_per_sec\": {exact_rps:.1}, \
@@ -250,10 +407,5 @@ fn main() {
     );
     let _ = writeln!(json, "    \"policy_speedup\": {policy_speedup:.2}");
     json.push_str("  }\n}\n");
-
-    let path =
-        std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_owned());
-    std::fs::write(&path, &json).expect("write benchmark output");
-    println!("wrote {path}");
-    println!("batched parallel upper bound: {batched_rps:.1} req/s");
+    write_report("BENCH_serve.json", &json);
 }

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use vibnn::experiments::LearnScale;
-use vibnn_bench::RunScale;
+use vibnn_bench::{write_report, RunScale};
 use vibnn_bnn::{Bnn, BnnConfig};
 use vibnn_datasets::{mnist_like_with, MnistLikeSpec};
 use vibnn_grng::{BoxMullerGrng, GaussianSource, ZigguratGrng};
@@ -306,11 +306,7 @@ fn main() {
     let _ = writeln!(json, "  \"losses_bit_identical_across_threads\": {bit_identical}");
     json.push_str("}\n");
 
-    let path =
-        std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| "BENCH_train.json".to_owned());
-    std::fs::write(&path, &json).expect("write benchmark output");
-
-    println!("wrote {path}");
+    write_report("BENCH_train.json", &json);
     println!(
         "seed scalar path     1 thread   {:.3} epochs/s  (loss {:.4})",
         baseline_eps,

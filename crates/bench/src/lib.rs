@@ -104,8 +104,7 @@ pub fn pct(x: f64) -> String {
 
 /// `n` rows of `features` standard-normal inputs from `seed`, each
 /// labelled by the sign of its sum: the synthetic request stream of the
-/// serving benches (`bench_serve`, `bench_backend`, `bench_cluster`,
-/// `bench_ingest`).
+/// serving benches (`bench_serve`, `bench_cluster`, `bench_ingest`).
 pub fn synth_rows(n: usize, features: usize, seed: u64) -> (Matrix, Vec<usize>) {
     let mut rng = GaussianInit::new(seed);
     let mut x = Matrix::zeros(n, features);
@@ -142,6 +141,24 @@ pub fn deploy(sizes: &[usize], mc_samples: usize, train_epochs: usize) -> Vibnn 
         .calibration(x.rows_slice(0, 64))
         .build()
         .expect("valid deployment")
+}
+
+/// The bit patterns of `row`: the form in which the serving benches
+/// compare served probabilities against their references.
+pub fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Writes a bench's JSON report to `$VIBNN_BENCH_OUT` if set, else to
+/// `default_name` in the working directory, and prints the path.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_report(default_name: &str, json: &str) {
+    let path = std::env::var("VIBNN_BENCH_OUT").unwrap_or_else(|_| default_name.to_owned());
+    std::fs::write(&path, json).expect("write benchmark output");
+    println!("wrote {path}");
 }
 
 #[cfg(test)]

@@ -405,6 +405,27 @@ impl<'a> WireReader<'a> {
         Ok(self.u32()? as usize)
     }
 
+    /// Reads a count (written by [`WireWriter::dim`]) of items that each
+    /// take at least `min_bytes` of the payload, and refuses one the
+    /// unread bytes cannot hold — so a hostile length field never sizes
+    /// an allocation beyond the input.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] if the count itself is cut off;
+    /// [`CheckpointError::Corrupt`] if `count × min_bytes` exceeds
+    /// [`Self::remaining`].
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let count = self.dim()?;
+        if count.saturating_mul(min_bytes) > self.remaining() {
+            return Err(CheckpointError::Corrupt(format!(
+                "{count} items cannot fit in {} bytes",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Reads `n` raw bytes (written by [`WireWriter::raw`]).
     ///
     /// # Errors
@@ -440,9 +461,12 @@ impl<'a> WireReader<'a> {
 }
 
 /// Reads the layer-size header common to every payload: `L` then `L + 1`
-/// sizes, all required positive.
+/// sizes, all required positive. Every payload goes on to hold each
+/// layer's four tensors (`i·o` weights and `o` biases, twice), so sizes
+/// whose tensors overrun the unread bytes are refused as
+/// [`CheckpointError::Truncated`] before anything is sized from them.
 fn read_sizes(r: &mut WireReader<'_>) -> Result<Vec<usize>, CheckpointError> {
-    let layers = r.dim()?;
+    let layers = r.count(4)?;
     if layers == 0 {
         return Err(CheckpointError::Corrupt("zero layers".into()));
     }
@@ -458,6 +482,13 @@ fn read_sizes(r: &mut WireReader<'_>) -> Result<Vec<usize>, CheckpointError> {
             return Err(CheckpointError::Corrupt("zero layer size".into()));
         }
         sizes.push(s);
+    }
+    let tensor_bytes = sizes.windows(2).try_fold(0usize, |total, p| {
+        let floats = p[0].checked_add(1)?.checked_mul(p[1])?.checked_mul(2)?;
+        total.checked_add(floats.checked_mul(4)?)
+    });
+    if tensor_bytes.map_or(true, |n| n > r.remaining()) {
+        return Err(CheckpointError::Truncated);
     }
     Ok(sizes)
 }
@@ -641,7 +672,8 @@ impl Bnn {
         }
         let adam_lr = r.f32()?;
         let adam_t = r.i32()?;
-        let slots = r.dim()?;
+        // A slot is its length, then at least one `m` and one `v` value.
+        let slots = r.count(12)?;
         let mut moments = Vec::with_capacity(slots);
         for _ in 0..slots {
             let len = r.dim()?;

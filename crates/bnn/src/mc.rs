@@ -165,10 +165,10 @@ pub(crate) fn parallel_ordered_mut<S, W, F>(
 /// bit-identical-at-any-thread-count contract. `threads == 0` resolves
 /// through [`vibnn_threads`]; `threads == 1` runs inline without spawning.
 ///
-/// `threads` is a scheduling hint, not a spawn count: the worker pool is
-/// additionally capped at the machine's available parallelism, since
-/// oversubscribing a CPU-bound fan-out only adds context-switch cost and
-/// — by the determinism contract above — can never change the result.
+/// The pool is capped at `units` (an idle worker could never change the
+/// result) but not at the machine's available parallelism: `threads`
+/// above the core count spawns that many threads, which oversubscribe
+/// the cores and pay context switches for no gain.
 pub fn parallel_ordered_tasks<W, T, F>(units: usize, threads: usize, f: F) -> Vec<T>
 where
     W: Default,

@@ -113,9 +113,11 @@ pub struct ForwardScratch {
 }
 
 /// Per-worker state of the Monte Carlo loops: the ε buffer of
-/// [`QuantizedBnn::sample_weights_with`] and the forward scratch.
+/// [`QuantizedBnn::sample_weights_with`] and the forward scratch. Keep
+/// one per worker across samples and batches and
+/// [`QuantizedBnn::sample_member`] stops allocating scratch.
 #[derive(Debug, Default)]
-struct McScratch {
+pub struct McScratch {
     eps: Vec<f64>,
     forward: ForwardScratch,
 }
@@ -494,8 +496,10 @@ impl QuantizedBnn {
     }
 
     /// One Monte Carlo member: sample a weight set from `src`, run the
-    /// integer forward and softmax the logits.
-    fn sample_member(
+    /// integer forward and softmax the logits. Every quantized Monte
+    /// Carlo loop — the batched calls here and the serving backend's
+    /// adaptive driver — takes its members from this one step.
+    pub fn sample_member(
         &self,
         x: &Matrix,
         src: &mut impl GaussianSource,

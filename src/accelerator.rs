@@ -6,6 +6,7 @@ use vibnn_hw::{AcceleratorConfig, CycleAccelerator, QuantizedBnn, ResourceModel,
 use vibnn_nn::Matrix;
 
 use crate::backend::BackendKind;
+use crate::pipeline::train_round;
 use crate::sampler::PolicySpec;
 use crate::VibnnError;
 
@@ -386,11 +387,8 @@ impl Vibnn {
 /// # Errors
 ///
 /// [`VibnnError::ShapeMismatch`] when the dataset does not match the
-/// network, plus every [`VibnnBuilder::build`] error.
-///
-/// # Panics
-///
-/// Panics if `batch == 0`.
+/// network or `batch == 0`, [`VibnnError::LabelOutOfRange`] for a label
+/// outside the class range, plus every [`VibnnBuilder::build`] error.
 pub fn train_and_deploy(
     mut bnn: Bnn,
     train_x: &Matrix,
@@ -398,29 +396,16 @@ pub fn train_and_deploy(
     epochs: usize,
     batch: usize,
 ) -> Result<(Bnn, Vibnn), VibnnError> {
-    if train_x.rows() != train_y.len() {
-        return Err(VibnnError::ShapeMismatch {
-            context: "label count",
-            expected: train_x.rows(),
-            got: train_y.len(),
-        });
-    }
-    let input_dim = bnn.config().layer_sizes()[0];
-    if train_x.cols() != input_dim {
-        return Err(VibnnError::ShapeMismatch {
-            context: "feature width",
-            expected: input_dim,
-            got: train_x.cols(),
-        });
-    }
-    bnn.train_mc_scheduled(
+    train_round(
+        &mut bnn,
         train_x,
         train_y,
         batch,
         1,
         0,
         &TrainSchedule::constant(epochs),
-    );
+        None,
+    )?;
     let calib = train_x.rows_slice(0, train_x.rows().min(128));
     let accel = VibnnBuilder::new(bnn.params()).calibration(calib).build()?;
     Ok((bnn, accel))

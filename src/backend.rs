@@ -52,7 +52,7 @@
 
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
-use vibnn_hw::{CycleAccelerator, ForwardScratch, QuantizedBnn};
+use vibnn_hw::{CycleAccelerator, McScratch, QuantizedBnn};
 use vibnn_nn::{relu, softmax_rows, Matrix};
 
 use crate::sampler::{ExactN, RowTracker, SampleDecision, SamplingPolicy};
@@ -159,14 +159,6 @@ pub enum RowOutcome {
 }
 
 impl RowOutcome {
-    /// The request id this outcome answers.
-    pub fn id(&self) -> u64 {
-        match self {
-            RowOutcome::Served(r) => r.id,
-            RowOutcome::Abstained { id, .. } => *id,
-        }
-    }
-
     /// Rewrites the request id (engines map chunk-relative row indices
     /// to global ids).
     pub fn set_id(&mut self, id: u64) {
@@ -188,14 +180,6 @@ impl RowOutcome {
                 samples_used,
                 entropy_milli,
             }),
-        }
-    }
-
-    /// Samples this row actually drew.
-    pub fn samples_used(&self) -> u32 {
-        match self {
-            RowOutcome::Served(r) => r.samples_used,
-            RowOutcome::Abstained { samples_used, .. } => *samples_used,
         }
     }
 }
@@ -475,13 +459,7 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
             max_samples,
             eps,
             workers,
-            |x, src, (eps_buf, forward): &mut (Vec<f64>, ForwardScratch)| {
-                let weights = qbnn.sample_weights_with(src, eps_buf);
-                let mut probs = Matrix::zeros(0, 0);
-                qbnn.forward_into(x, &weights, forward, &mut probs);
-                softmax_rows(&mut probs);
-                probs
-            },
+            |x, src, scratch: &mut McScratch| qbnn.sample_member(x, src, scratch),
         )
     }
 }

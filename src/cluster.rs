@@ -73,7 +73,7 @@ use vibnn_nn::Matrix;
 use crate::backend::{BackendCost, BackendKind, RowOutcome};
 use crate::sampler::PolicySpec;
 use crate::serve::{ServeConfig, ServeEngine, ServeResult};
-use crate::{Vibnn, VibnnError};
+use crate::{fnv1a, Vibnn, VibnnError, FNV_OFFSET};
 
 /// Sizing and policy knobs for a [`ClusterEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,11 +332,8 @@ pub struct ClusterMetrics {
 /// checkpoint bytes — the cluster's criterion for replicas that answer
 /// identically (and may therefore absorb each other's spill).
 fn checkpoint_fingerprint(vibnn: &Vibnn) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &vibnn.to_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &vibnn.to_bytes());
     h
 }
 

@@ -495,14 +495,6 @@ fn read_u32_field(r: &mut WireReader<'_>, what: &str) -> Result<u32, VibnnError>
 /// Reads a count of items that each take at least `min_bytes` on the
 /// wire, refusing one the unread bytes cannot hold — so a hostile count
 /// never reserves memory.
-fn read_count(r: &mut WireReader<'_>, min_bytes: usize) -> Result<usize, VibnnError> {
-    let count = r.dim().map_err(protocol)?;
-    if count.saturating_mul(min_bytes) > r.remaining() {
-        return Err(VibnnError::Protocol(format!("{count} items cannot fit")));
-    }
-    Ok(count)
-}
-
 fn read_result(r: &mut WireReader<'_>) -> Result<ServeResult, VibnnError> {
     let id = r.u64().map_err(protocol)?;
     let classes = r.dim().map_err(protocol)?;
@@ -633,17 +625,17 @@ fn write_metrics(w: &mut WireWriter, frame: &MetricsFrame) {
 fn read_metrics(r: &mut WireReader<'_>) -> Result<MetricsFrame, VibnnError> {
     // Smallest encodings: a metric is an empty name, no labels, a kind
     // byte and an empty bucket list; a label is two empty strings.
-    let metrics = (0..read_count(r, 13)?)
+    let metrics = (0..r.count(13).map_err(protocol)?)
         .map(|_| {
             let name = read_string(r)?;
-            let labels = (0..read_count(r, 8)?)
+            let labels = (0..r.count(8).map_err(protocol)?)
                 .map(|_| Ok((read_string(r)?, read_string(r)?)))
                 .collect::<Result<_, VibnnError>>()?;
             let value = match r.u8().map_err(protocol)? {
                 0 => MetricValue::Count(r.u64().map_err(protocol)?),
                 1 => MetricValue::Gauge(r.f64().map_err(protocol)?),
                 2 => MetricValue::Buckets(
-                    (0..read_count(r, 8)?)
+                    (0..r.count(8).map_err(protocol)?)
                         .map(|_| r.u64().map_err(protocol))
                         .collect::<Result<_, _>>()?,
                 ),
@@ -818,7 +810,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, VibnnError> {
         KIND_PREDICT_BATCH_REPLY => {
             let tag = r.u64().map_err(protocol)?;
             // A row is at least a flag byte and an error code.
-            let count = read_count(&mut r, 2)?;
+            let count = r.count(2).map_err(protocol)?;
             let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
                 rows.push(match r.u8().map_err(protocol)? {

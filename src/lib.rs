@@ -55,3 +55,15 @@ pub use vibnn_hw as hw;
 pub use vibnn_nn as nn;
 pub use vibnn_rng as rng;
 pub use vibnn_stats as stats;
+
+/// The FNV-1a offset basis: the digest of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a digest `h` (started at
+/// [`FNV_OFFSET`]).
+pub(crate) fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}

@@ -47,7 +47,7 @@ use vibnn_nn::Matrix;
 use crate::cluster::{ClusterConfig, ClusterEngine};
 use crate::pipeline::train_round;
 use crate::serve::ServeResult;
-use crate::{Vibnn, VibnnBuilder, VibnnError};
+use crate::{fnv1a, Vibnn, VibnnBuilder, VibnnError, FNV_OFFSET};
 
 /// Checkpoint-envelope kind for the persisted online-loop state
 /// (extends the kind-1/2/3 catalog in [`vibnn_bnn::checkpoint`]).
@@ -241,13 +241,6 @@ struct LoopState {
     /// Kind-2 serialization of the trainer as of its last completed
     /// round (the resume seed for an interrupted retrain).
     trainer_bytes: Vec<u8>,
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 /// The continuous online-learning runtime. See the [module docs](self)
@@ -488,7 +481,7 @@ impl OnlineRuntime {
         let results = self.serve_batch(&sx)?;
 
         let n = results.len().max(1) as f64;
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         let mut correct = 0usize;
         let (mut esum, mut ssum) = (0.0f64, 0.0f64);
         for (r, res) in results.iter().enumerate() {
@@ -676,13 +669,15 @@ fn read_state(bytes: &[u8]) -> Result<LoopState, VibnnError> {
             ))))
         }
     };
-    let n = r.dim()?;
+    // Each count is checked against the unread bytes at its items'
+    // encoded sizes: 8 bytes per window entry, 25 per event, 58 per round.
+    let n = r.count(8)?;
     let mut window = VecDeque::with_capacity(n);
     for _ in 0..n {
         window.push_back(r.f64()?);
     }
-    let n = r.dim()?;
-    let mut events = Vec::with_capacity(n.min(bytes.len()));
+    let n = r.count(25)?;
+    let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         events.push(OnlineEvent {
             round: r.u64()?,
@@ -700,8 +695,8 @@ fn read_state(bytes: &[u8]) -> Result<LoopState, VibnnError> {
             version: r.u64()?,
         });
     }
-    let n = r.dim()?;
-    let mut rounds = Vec::with_capacity(n.min(bytes.len()));
+    let n = r.count(58)?;
+    let mut rounds = Vec::with_capacity(n);
     for _ in 0..n {
         rounds.push(RoundReport {
             round: r.u64()?,

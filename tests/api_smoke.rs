@@ -92,6 +92,22 @@ fn train_and_deploy_round_trip() {
     assert_eq!(trained.params().layer_sizes(), &[6, 3, 2]);
     let acc = accel.evaluate_parallel(&x, &y, &ParallelRlfGrng::new(4, 3), 1);
     assert!((0.0..=1.0).contains(&acc));
+    // Bad inputs are typed errors, as in `Pipeline`, not panics.
+    assert!(matches!(
+        train_and_deploy(tiny_bnn(), &x, &y, 1, 0),
+        Err(VibnnError::ShapeMismatch {
+            context: "batch size",
+            ..
+        })
+    ));
+    let bad_labels: Vec<usize> = (0..8).map(|i| if i == 5 { 2 } else { i % 2 }).collect();
+    assert!(matches!(
+        train_and_deploy(tiny_bnn(), &x, &bad_labels, 1, 4),
+        Err(VibnnError::LabelOutOfRange {
+            label: 2,
+            classes: 2
+        })
+    ));
 }
 
 #[test]

@@ -11,12 +11,17 @@ use std::cell::Cell;
 use std::io::Cursor;
 
 use proptest::prelude::*;
-use vibnn::bnn::checkpoint::{read_frame, write_frame, MAX_FRAME_LEN};
+use vibnn::bnn::checkpoint::{
+    read_frame, write_frame, CheckpointError, WireWriter, MAX_FRAME_LEN,
+};
+use vibnn::bnn::{Bnn, BnnConfig};
+use vibnn::datasets::{DriftStream, SynthSpec};
 use vibnn::fixed::{choose_format, MacAccumulator, QFormat};
 use vibnn::grng::WallaceUnit;
 use vibnn::hw::{AcceleratorConfig, Schedule};
 use vibnn::ingest::{decode_reply, decode_request, encode_reply, encode_request};
 use vibnn::ingest::{Metric, MetricValue, MetricsFrame, Reply, Request, WireError};
+use vibnn::online::{OnlineConfig, OnlineRuntime, KIND_ONLINE};
 use vibnn::rng::{BitVec, CircularLfsr, RlfLogic, RlfMode, SplitMix64};
 use vibnn::serve::ServeResult;
 use vibnn::{Priority, VibnnError};
@@ -458,4 +463,71 @@ proptest! {
             }
         }
     }
+}
+
+// Hostile length fields in checkpoint files. Each is refused with a typed
+// error, and no refused load makes an allocation larger than 8 bytes per
+// input byte (plus room for an error message).
+
+/// `bytes` with the little-endian `u32` at `at` replaced by `value`.
+fn patch_u32(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    out
+}
+
+#[test]
+fn hostile_trainer_lengths_fail_typed_and_bounded() {
+    let sizes = [4usize, 6, 3];
+    let valid = Bnn::new(BnnConfig::new(&sizes), 9).to_bytes();
+    // Envelope, size header, config, counters, tensors, Adam rate and step.
+    let tensors: usize = sizes.windows(2).map(|p| 8 * (p[0] * p[1] + p[1])).sum();
+    let slots_at = 7 + 4 * (sizes.len() + 1) + 20 + 32 + tensors + 8;
+    assert_eq!(valid[slots_at..slots_at + 4], 8u32.to_le_bytes(), "4 slots per layer");
+    for (field, at, value) in [
+        ("layer count", 7, 1 << 16),
+        ("layer size", 15, u32::MAX),
+        ("Adam slot count", slots_at, u32::MAX),
+    ] {
+        let bytes = patch_u32(&valid, at, value);
+        let (result, peak) = peak_allocation(|| Bnn::from_bytes(&bytes));
+        assert!(
+            matches!(result, Err(CheckpointError::Corrupt(_) | CheckpointError::Truncated)),
+            "{field}: {result:?}"
+        );
+        assert!(peak <= 8 * bytes.len() + 256, "{field}: allocated {peak} bytes");
+    }
+}
+
+#[test]
+fn hostile_online_state_lengths_fail_typed_and_bounded() {
+    let dir = std::env::temp_dir().join(format!("vibnn_property_online_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = OnlineConfig::new(&dir);
+    for (field, counts) in [
+        ("trigger window", [u32::MAX, 0, 0]),
+        ("event count", [0, u32::MAX, 0]),
+        ("round count", [0, 0, u32::MAX]),
+    ] {
+        // Nothing done, nothing in flight, the three counts, no trainer.
+        let mut w = WireWriter::new(KIND_ONLINE);
+        w.u64(0);
+        w.u64(0);
+        w.u8(0);
+        w.u64(0);
+        for count in counts {
+            w.u32(count);
+        }
+        w.u32(0);
+        let bytes = w.into_bytes();
+        std::fs::write(&cfg.state_path, &bytes).unwrap();
+        let (cfg, stream) = (cfg.clone(), DriftStream::new(SynthSpec::new("hostile", 4, 2, 8, 8), 1));
+        let (result, peak) = peak_allocation(|| OnlineRuntime::resume(cfg, stream).map(drop));
+        assert!(
+            matches!(result, Err(VibnnError::Checkpoint(CheckpointError::Corrupt(_)))),
+            "{field}: {result:?}"
+        );
+        assert!(peak <= 8 * bytes.len() + 256, "{field}: allocated {peak} bytes");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
