@@ -31,6 +31,8 @@ VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_eps_source
 VIBNN_SCALE=quick cargo run --release -p vibnn_bench --bin ablation_mc_samples
 VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_grng.json" \
     cargo run --release -p vibnn_bench --bin bench_grng
+grep -q '"fork_ns"' target/BENCH_grng.json \
+    || { echo "FAIL: BENCH_grng.json lacks the fork_ns field"; exit 1; }
 
 echo "==> serving example (queued serving through a one-replica cluster, with backoff on QueueFull)"
 cargo run --release --example serving

@@ -19,6 +19,7 @@
 use vibnn_grng::StreamFork;
 use vibnn_nn::{Matrix, LANES};
 
+use crate::threads::available_cores;
 use crate::vibnn_threads;
 
 /// Fixed chunk width (in elements) for the parallel step-tail passes
@@ -31,16 +32,17 @@ use crate::vibnn_threads;
 pub(crate) const TAIL_CHUNK: usize = 16_384;
 
 /// The worker count the harnesses actually use for `units` tasks:
-/// `requested` (0 ⇒ [`vibnn_threads`]) capped at `units` — spawning more
-/// workers than units only adds idle threads and, by the determinism
-/// contract, can never change the result.
+/// `requested` (0 ⇒ [`vibnn_threads`]) capped at `units` and at the
+/// machine's available parallelism. More workers than units only adds
+/// idle threads, and more than cores only adds context switches; by the
+/// determinism contract neither can change the result.
 pub(crate) fn effective_threads(requested: usize, units: usize) -> usize {
     let requested = if requested == 0 {
         vibnn_threads()
     } else {
         requested
     };
-    requested.min(units).max(1)
+    requested.min(units).min(available_cores()).max(1)
 }
 
 /// Folds `f` over a sequence of fixed-boundary work items (normally
@@ -165,10 +167,9 @@ pub(crate) fn parallel_ordered_mut<S, W, F>(
 /// bit-identical-at-any-thread-count contract. `threads == 0` resolves
 /// through [`vibnn_threads`]; `threads == 1` runs inline without spawning.
 ///
-/// The pool is capped at `units` (an idle worker could never change the
-/// result) but not at the machine's available parallelism: `threads`
-/// above the core count spawns that many threads, which oversubscribe
-/// the cores and pay context switches for no gain.
+/// The pool is capped at `units` and at the machine's available
+/// parallelism: neither an idle worker nor an oversubscribed core could
+/// change the result.
 pub fn parallel_ordered_tasks<W, T, F>(units: usize, threads: usize, f: F) -> Vec<T>
 where
     W: Default,
@@ -401,11 +402,13 @@ mod tests {
     fn worker_spawn_is_capped_by_unit_count() {
         // Oversubscribing (threads ≫ units) must not spawn idle workers:
         // with 3 units and 16 requested threads at most 3 distinct threads
-        // may run tasks.
+        // may run tasks, and no more than the machine's cores.
         use std::collections::HashSet;
         use std::sync::Mutex;
-        assert_eq!(effective_threads(16, 3), 3);
+        let cores = available_cores();
+        assert_eq!(effective_threads(16, 3), 3.min(cores));
         assert_eq!(effective_threads(16, 1), 1);
+        assert_eq!(effective_threads(usize::MAX, usize::MAX), cores);
         let ids = Mutex::new(HashSet::new());
         let out = parallel_ordered_tasks(3, 16, |u, _: &mut ()| {
             ids.lock().unwrap().insert(std::thread::current().id());

@@ -33,10 +33,20 @@ pub fn vibnn_threads() -> usize {
             .and_then(|v| v.trim().parse::<usize>().ok())
         {
             Some(n) if n > 0 => n,
-            _ => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            _ => available_cores(),
         }
+    })
+}
+
+/// The machine's available parallelism, read once per process (or 1 if
+/// it cannot be determined). It respects the process's CPU affinity, so
+/// a process pinned to one CPU sees 1.
+pub(crate) fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
     })
 }
 

@@ -112,13 +112,15 @@ pub struct ForwardScratch {
     wide: Vec<i64>,
 }
 
-/// Per-worker state of the Monte Carlo loops: the ε buffer of
-/// [`QuantizedBnn::sample_weights_with`] and the forward scratch. Keep
-/// one per worker across samples and batches and
-/// [`QuantizedBnn::sample_member`] stops allocating scratch.
+/// Per-worker state of the Monte Carlo loops: the ε buffer, the sampled
+/// weight tables and the forward scratch of
+/// [`QuantizedBnn::sample_member`]. Each sample overwrites the tables in
+/// place, so keep one per worker across samples and batches and a member
+/// allocates nothing but its output.
 #[derive(Debug, Default)]
 pub struct McScratch {
     eps: Vec<f64>,
+    weights: Vec<(Vec<i32>, Vec<i32>)>,
     forward: ForwardScratch,
 }
 
@@ -349,13 +351,27 @@ impl QuantizedBnn {
     }
 
     /// [`Self::sample_weights`] drawing into a caller-owned ε scratch
-    /// buffer, so repeated sampling (the Monte Carlo hot loop) allocates
-    /// the scratch once per worker instead of once per sample.
+    /// buffer. The Monte Carlo loops keep the tables too, in a
+    /// [`McScratch`], through [`Self::sample_member_into`].
     pub fn sample_weights_with(
         &self,
         eps_src: &mut impl GaussianSource,
         eps: &mut Vec<f64>,
     ) -> Vec<(Vec<i32>, Vec<i32>)> {
+        let mut weights = Vec::with_capacity(self.layers.len());
+        self.sample_weights_into(eps_src, eps, &mut weights);
+        weights
+    }
+
+    /// The weight generator: overwrites `weights` with one sampled set,
+    /// reusing its tables' capacity, and draws ε through `eps`. Once
+    /// both have grown to the network's shapes it allocates nothing.
+    fn sample_weights_into(
+        &self,
+        eps_src: &mut impl GaussianSource,
+        eps: &mut Vec<f64>,
+        weights: &mut Vec<(Vec<i32>, Vec<i32>)>,
+    ) {
         let spec = &self.spec;
         let prod_frac = spec.sigma_fmt.frac_bits() + spec.eps_fmt.frac_bits();
         let max_len = self
@@ -366,28 +382,24 @@ impl QuantizedBnn {
             .unwrap_or(0);
         eps.resize(max_len, 0.0);
         let sample_into = |dst: &mut Vec<i32>, mu: &[i32], sigma: &[i32], eps: &[f64]| {
-            for ((&mu, &sg), &e) in mu.iter().zip(sigma).zip(eps) {
+            dst.clear();
+            dst.extend(mu.iter().zip(sigma).zip(eps).map(|((&mu, &sg), &e)| {
                 let e = spec.eps_fmt.quantize(e);
                 let noise = spec
                     .weight_fmt
                     .requantize(i64::from(sg) * i64::from(e), prod_frac);
-                dst.push(spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise)));
-            }
+                spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise))
+            }));
         };
-        self.layers
-            .iter()
-            .map(|layer| {
-                let n = layer.mu.len();
-                eps_src.fill(&mut eps[..n]);
-                let mut w = Vec::with_capacity(n);
-                sample_into(&mut w, &layer.mu, &layer.sigma, &eps[..n]);
-                let nb = layer.bias_mu.len();
-                eps_src.fill(&mut eps[..nb]);
-                let mut b = Vec::with_capacity(nb);
-                sample_into(&mut b, &layer.bias_mu, &layer.bias_sigma, &eps[..nb]);
-                (w, b)
-            })
-            .collect()
+        weights.resize_with(self.layers.len(), Default::default);
+        for (layer, (w, b)) in self.layers.iter().zip(weights.iter_mut()) {
+            let n = layer.mu.len();
+            eps_src.fill(&mut eps[..n]);
+            sample_into(w, &layer.mu, &layer.sigma, &eps[..n]);
+            let nb = layer.bias_mu.len();
+            eps_src.fill(&mut eps[..nb]);
+            sample_into(b, &layer.bias_mu, &layer.bias_sigma, &eps[..nb]);
+        }
     }
 
     /// Forward pass of one batch through one sampled weight set; returns
@@ -505,11 +517,30 @@ impl QuantizedBnn {
         src: &mut impl GaussianSource,
         scratch: &mut McScratch,
     ) -> Matrix {
-        let weights = self.sample_weights_with(src, &mut scratch.eps);
         let mut probs = Matrix::zeros(0, 0);
-        self.forward_into(x, &weights, &mut scratch.forward, &mut probs);
-        softmax_rows(&mut probs);
+        self.sample_member_into(x, src, scratch, &mut probs);
         probs
+    }
+
+    /// [`Self::sample_member`] writing the probabilities into `out`
+    /// (reshaped to `x.rows() × classes`). The weight set is sampled into
+    /// `scratch`'s tables in place, so with a warm scratch and output the
+    /// member allocates nothing.
+    pub fn sample_member_into(
+        &self,
+        x: &Matrix,
+        src: &mut impl GaussianSource,
+        scratch: &mut McScratch,
+        out: &mut Matrix,
+    ) {
+        let McScratch {
+            eps,
+            weights,
+            forward,
+        } = scratch;
+        self.sample_weights_into(src, eps, weights);
+        self.forward_into(x, weights, forward, out);
+        softmax_rows(out);
     }
 
     /// Monte Carlo predictive probabilities on the fixed-point datapath
@@ -588,7 +619,7 @@ mod tests {
     use proptest::prelude::*;
     use vibnn_bnn::{Bnn, BnnConfig};
     use vibnn_fixed::MacAccumulator;
-    use vibnn_grng::BoxMullerGrng;
+    use vibnn_grng::{BoxMullerGrng, ZigguratGrng};
     use vibnn_nn::GaussianInit;
 
     /// The forward pass before the flat kernel, kept as its bit-exactness
@@ -752,6 +783,168 @@ mod tests {
                 logit_bits(&q.forward_with_weights(&x, &weights)),
                 logit_bits(&scalar_oracle(&q, &x, &weights))
             );
+        }
+    }
+
+    /// The weight sampler before it wrote into a scratch, kept as the
+    /// bit-exactness oracle of the in-place one: fresh tables per layer
+    /// and one `push` per weight.
+    fn sample_weights_oracle(
+        q: &QuantizedBnn,
+        eps_src: &mut impl GaussianSource,
+    ) -> Vec<(Vec<i32>, Vec<i32>)> {
+        let spec = &q.spec;
+        let prod_frac = spec.sigma_fmt.frac_bits() + spec.eps_fmt.frac_bits();
+        let max_len = q.layers.iter().map(|l| l.mu.len()).max().unwrap_or(0);
+        let mut eps = vec![0.0; max_len];
+        let sample_into = |dst: &mut Vec<i32>, mu: &[i32], sigma: &[i32], eps: &[f64]| {
+            for ((&mu, &sg), &e) in mu.iter().zip(sigma).zip(eps) {
+                let e = spec.eps_fmt.quantize(e);
+                let noise = spec
+                    .weight_fmt
+                    .requantize(i64::from(sg) * i64::from(e), prod_frac);
+                dst.push(spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise)));
+            }
+        };
+        q.layers
+            .iter()
+            .map(|layer| {
+                let n = layer.mu.len();
+                eps_src.fill(&mut eps[..n]);
+                let mut w = Vec::with_capacity(n);
+                sample_into(&mut w, &layer.mu, &layer.sigma, &eps[..n]);
+                let nb = layer.bias_mu.len();
+                eps_src.fill(&mut eps[..nb]);
+                let mut b = Vec::with_capacity(nb);
+                sample_into(&mut b, &layer.bias_mu, &layer.bias_sigma, &eps[..nb]);
+                (w, b)
+            })
+            .collect()
+    }
+
+    /// An ε source that replays a fixed list, cycling.
+    struct Replay {
+        vals: Vec<f64>,
+        at: usize,
+    }
+
+    impl GaussianSource for Replay {
+        fn next_gaussian(&mut self) -> f64 {
+            let v = self.vals[self.at % self.vals.len()];
+            self.at += 1;
+            v
+        }
+    }
+
+    impl CaseRng {
+        /// `n` ε values for `fmt`: NaN, ±∞, ±`f64::MAX`, signed zeros,
+        /// exact half-LSB ties, values at the rails and a standard spread.
+        fn eps_values(&mut self, fmt: QFormat, n: usize) -> Vec<f64> {
+            let lsb = (-f64::from(fmt.frac_bits())).exp2();
+            let span = u64::from(fmt.max_raw().unsigned_abs()) + 1;
+            (0..n)
+                .map(|_| {
+                    let k = self.below(2 * span) as f64 - span as f64;
+                    match self.below(10) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 if self.below(2) == 0 => f64::MAX,
+                        3 => -f64::MAX,
+                        4 if self.below(2) == 0 => 0.0,
+                        4 => -0.0,
+                        5 | 6 => (k + 0.5) * lsb,
+                        7 => fmt.dequantize(fmt.max_raw()) + lsb * 0.5,
+                        _ => (self.below(1 << 20) as f64 / f64::from(1 << 17)) - 4.0,
+                    }
+                })
+                .collect()
+        }
+
+        /// A network of `sizes` on `spec` with random µ/σ tables.
+        fn network(&mut self, sizes: &[usize], spec: QuantizationSpec) -> QuantizedBnn {
+            let layers = sizes
+                .windows(2)
+                .map(|p| QLayer {
+                    in_dim: p[0],
+                    out_dim: p[1],
+                    mu: self.raws(spec.weight_fmt, p[0] * p[1]),
+                    sigma: self.raws(spec.sigma_fmt, p[0] * p[1]),
+                    bias_mu: self.raws(spec.weight_fmt, p[1]),
+                    bias_sigma: self.raws(spec.sigma_fmt, p[1]),
+                })
+                .collect();
+            QuantizedBnn { spec, layers }
+        }
+
+        /// Random sizes: 1 to 3 layers, up to 300 wide.
+        fn sizes(&mut self) -> Vec<usize> {
+            let layers = 1 + self.below(3) as usize;
+            (0..=layers).map(|_| 1 + self.below(300) as usize).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The in-place sampler equals the oracle bit for bit at every
+        /// bit length, on random formats and ε at the rails (NaN, ±∞,
+        /// half-LSB ties), through a scratch last used by a network of
+        /// another shape and then warm on this one.
+        #[test]
+        fn in_place_sampler_matches_oracle(seed in 0u64.., bit_len in 2u32..=32) {
+            let mut rng = CaseRng(seed);
+            let spec = QuantizationSpec {
+                bit_len,
+                weight_fmt: rng.format(bit_len),
+                sigma_fmt: rng.format(bit_len),
+                act_fmt: rng.format(bit_len),
+                eps_fmt: rng.format(bit_len),
+            };
+            let sizes = rng.sizes();
+            let other_sizes = rng.sizes();
+            let q = rng.network(&sizes, spec);
+            let other = rng.network(&other_sizes, spec);
+            let mut eps = Vec::new();
+            let mut weights = Vec::new();
+            let mut replay = Replay { vals: rng.eps_values(spec.eps_fmt, 97), at: 0 };
+            other.sample_weights_into(&mut replay, &mut eps, &mut weights);
+            for _ in 0..2 {
+                let n = 1 + rng.below(500) as usize;
+                let vals = rng.eps_values(spec.eps_fmt, n);
+                q.sample_weights_into(&mut Replay { vals: vals.clone(), at: 0 }, &mut eps, &mut weights);
+                prop_assert_eq!(&weights, &sample_weights_oracle(&q, &mut Replay { vals, at: 0 }));
+            }
+        }
+    }
+
+    #[test]
+    fn members_match_the_oracle_path_with_one_scratch() {
+        // The paper's MNIST topology and the interactive one, each member
+        // through one scratch, against the oracle's fresh weights and the
+        // allocating forward.
+        let mut scratch = McScratch::default();
+        let mut out = Matrix::zeros(0, 0);
+        for (seed, sizes) in [vec![784, 200, 200, 10], vec![26, 64, 2]]
+            .into_iter()
+            .enumerate()
+        {
+            let bnn = Bnn::new(BnnConfig::new(&sizes), seed as u64);
+            let mut rng = GaussianInit::new(seed as u64 + 7);
+            let mut x = Matrix::zeros(5, sizes[0]);
+            for v in x.data_mut() {
+                *v = rng.next_gaussian() as f32;
+            }
+            let q = QuantizedBnn::from_params(&bnn.params(), 8, &x);
+            let eps = ZigguratGrng::new(seed as u64 + 3);
+            for s in 0..4 {
+                q.sample_member_into(&x, &mut eps.fork(s), &mut scratch, &mut out);
+                let weights = sample_weights_oracle(&q, &mut eps.fork(s));
+                assert_eq!(scratch.weights, weights, "{sizes:?} sample {s}");
+                let mut want = q.forward_with_weights(&x, &weights);
+                softmax_rows(&mut want);
+                assert_eq!(logit_bits(&out), logit_bits(&want), "{sizes:?} sample {s}");
+            }
         }
     }
 

@@ -6,7 +6,11 @@
 //!   one thread performs **zero** heap allocations;
 //! - the quantized forward kernel: once its `ForwardScratch` and output
 //!   matrix are warm, `QuantizedBnn::forward_into` performs **zero**
-//!   heap allocations.
+//!   heap allocations;
+//! - one quantized Monte Carlo member: once its `McScratch` and output
+//!   matrix are warm, `QuantizedBnn::sample_member_into` — ε draws, a
+//!   sampled weight set and the forward — performs **zero** heap
+//!   allocations.
 //!
 //! The counter is process-wide, so every test holds `SERIAL` for its
 //! whole run and no concurrent test can pollute another's count.
@@ -23,8 +27,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use vibnn::bnn::{Bnn, BnnConfig};
-use vibnn::grng::ZigguratGrng;
-use vibnn::hw::{ForwardScratch, QuantizedBnn};
+use vibnn::grng::{StreamFork, ZigguratGrng};
+use vibnn::hw::{ForwardScratch, McScratch, QuantizedBnn};
 use vibnn::nn::{GaussianInit, Matrix};
 
 struct CountingAlloc;
@@ -137,4 +141,46 @@ fn warm_quantized_forward_allocates_nothing() {
         warm.data(),
         "repeated passes changed the logits"
     );
+}
+
+#[test]
+fn warm_monte_carlo_member_allocates_nothing() {
+    let _serial = serial();
+    // The paper's MNIST topology on a 64-row batch and the one-row
+    // interactive model; every member forks its own ε substream, as the
+    // serving loops do.
+    for (sizes, rows) in [(vec![784, 200, 200, 10], 64), (vec![26, 64, 2], 1)] {
+        let mut rng = GaussianInit::new(7);
+        let mut x = Matrix::zeros(rows, sizes[0]);
+        for v in x.data_mut() {
+            *v = (rng.next_gaussian() as f32).clamp(0.0, 1.0);
+        }
+        let bnn = Bnn::new(BnnConfig::new(&sizes), 5);
+        let q = QuantizedBnn::from_params(&bnn.params(), 8, &x);
+        let eps = ZigguratGrng::new(9);
+        let mut scratch = McScratch::default();
+        let mut out = Matrix::zeros(0, 0);
+        q.sample_member_into(&x, &mut eps.fork(0), &mut scratch, &mut out);
+
+        let samples = 4;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for s in 1..=samples {
+            q.sample_member_into(&x, &mut eps.fork(s), &mut scratch, &mut out);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "{sizes:?}: warm sample_member_into made {} allocations over {} samples",
+            after - before,
+            samples
+        );
+        let mut fresh = McScratch::default();
+        assert_eq!(
+            out.data(),
+            q.sample_member(&x, &mut eps.fork(samples), &mut fresh)
+                .data(),
+            "{sizes:?}: a warm scratch changed the member"
+        );
+    }
 }
