@@ -34,6 +34,9 @@ VIBNN_SCALE=quick VIBNN_BENCH_OUT="target/BENCH_grng.json" \
 grep -q '"fork_ns"' target/BENCH_grng.json \
     || { echo "FAIL: BENCH_grng.json lacks the fork_ns field"; exit 1; }
 
+echo "==> hardware_sim example (one paper-sized image ticked through the simulator: SimStats and infer_forked's output)"
+cargo run --release --example hardware_sim
+
 echo "==> serving example (queued serving through a one-replica cluster, with backoff on QueueFull)"
 cargo run --release --example serving
 

@@ -3,10 +3,12 @@
 //! Measures the synchronous [`vibnn::serve::ServeEngine::submit_batch`]
 //! path — rows split into micro-batches — over one grid of the three
 //! [`vibnn::backend::InferenceBackend`]s (software float, quantized host,
-//! the cycle-ticked accelerator model) × `max_batch` × `workers`, plus
-//! the raw batched `predict_proba_parallel` upper bound. Each grid row is
-//! one timed pass that reports requests/sec beside the hardware ledger
-//! per request: cycles/request and nJ/request from the
+//! and the quantized datapath priced by the modeled accelerator) ×
+//! `max_batch` × `workers`, plus the raw batched `predict_proba_parallel`
+//! upper bound. Each grid row is the fastest of [`TIMED_PASSES`] timed
+//! passes after a warm-up, with the three backends' passes alternating
+//! within a `(max_batch, workers)` cell, and reports requests/sec beside
+//! the hardware ledger per request: cycles/request and nJ/request from the
 //! [`vibnn::backend::BackendCost`] the engine accumulates (zero for host
 //! backends by contract). Queued serving (single-row submissions through
 //! a backpressured queue) is `bench_cluster`'s job.
@@ -28,12 +30,14 @@
 //! Before timing anything it asserts the determinism contract: every
 //! backend gives the same bits at 1 and 4 workers, the quantized backend
 //! and its stage-by-stage replay equal the batched path, the cycle
-//! backend equals the ticked functional model, and `ExactN` equals the
-//! batched path while drawing every Monte Carlo sample.
+//! backend serves the quantized bits and equals the ticked functional
+//! model, and `ExactN` equals the batched path while drawing every Monte
+//! Carlo sample.
 //!
 //! Output path: `$VIBNN_BENCH_OUT` if set, else `BENCH_serve.json` in the
 //! working directory. `VIBNN_SCALE=quick` shrinks the workload.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -125,18 +129,18 @@ fn served_bits(vibnn: &Vibnn, backend: BackendKind, x: &Matrix, workers: usize) 
 }
 
 /// Every pre-timing gate against `reference` (the batched path's bits):
-/// worker-count invariance for every backend, quantized == batched path
-/// (served and replayed stage by stage), cycle == ticked model, and
-/// `ExactN` == batched path at full samples.
+/// worker-count invariance for every backend, quantized == cycle ==
+/// batched path (quantized also replayed stage by stage), cycle == ticked
+/// model, and `ExactN` == batched path at full samples.
 fn assert_determinism(vibnn: &Vibnn, x: &Matrix, reference: &[Vec<u32>]) {
     for backend in BACKENDS {
         let one = served_bits(vibnn, backend, x, 1);
         let four = served_bits(vibnn, backend, x, 4);
         assert_eq!(one, four, "{backend:?} not worker-count invariant");
-        if backend == BackendKind::Quantized {
+        if backend != BackendKind::Software {
             assert_eq!(
                 one, reference,
-                "quantized backend diverged from the batched path"
+                "{backend:?} backend diverged from the quantized batched path"
             );
         }
         if backend == BackendKind::Cycle {
@@ -166,7 +170,15 @@ fn assert_determinism(vibnn: &Vibnn, x: &Matrix, reference: &[Vec<u32>]) {
     }
 }
 
-/// One grid row's timed pass: throughput and the per-request ledger.
+const MAX_BATCHES: [usize; 3] = [1, 8, 32];
+const WORKERS: [usize; 3] = [1, 2, 4];
+
+/// Timed passes per grid row. A pass over the default workload takes a
+/// few milliseconds, and one pass alone moves by up to a third between
+/// runs, so each row reports its fastest pass.
+const TIMED_PASSES: usize = 5;
+
+/// One grid row's measurement: throughput and the per-request ledger.
 struct Row {
     rps: f64,
     cycles_per_request: f64,
@@ -234,25 +246,40 @@ fn quantized_stages(vibnn: &Vibnn, x: &Matrix, max_batch: usize, reference: &[Ve
     st
 }
 
-/// One timed `submit_batch_costed` pass over the whole request stream.
-fn measure(
-    vibnn: &Vibnn,
-    backend: BackendKind,
-    x: &Matrix,
-    max_batch: usize,
-    workers: usize,
-) -> Row {
-    let eng = engine(vibnn.clone(), backend, max_batch, workers, None);
-    let start = Instant::now();
-    let (results, cost) = eng.submit_batch_costed(x).expect("serve");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(results.len(), x.rows());
-    let n = x.rows() as f64;
-    Row {
-        rps: n / elapsed,
-        cycles_per_request: cost.cycles as f64 / n,
-        energy_nj_per_request: cost.energy_nj / n,
+/// Every backend's grid row at one `(max_batch, workers)` cell: a
+/// warm-up pass per backend, then [`TIMED_PASSES`] rounds of one timed
+/// `submit_batch_costed` pass per backend. The backends alternate within
+/// each round, so drift in the host's speed reaches them alike; each
+/// reports its fastest pass, and every pass must charge the same ledger.
+fn measure_cell(vibnn: &Vibnn, x: &Matrix, max_batch: usize, workers: usize) -> Vec<Row> {
+    let engines: Vec<_> = BACKENDS
+        .iter()
+        .map(|&backend| engine(vibnn.clone(), backend, max_batch, workers, None))
+        .collect();
+    let ledgers: Vec<_> = engines
+        .iter()
+        .map(|eng| eng.submit_batch_costed(x).expect("warm-up serve").1)
+        .collect();
+    let mut fastest = [f64::INFINITY; BACKENDS.len()];
+    for _ in 0..TIMED_PASSES {
+        for (i, eng) in engines.iter().enumerate() {
+            let start = Instant::now();
+            let (results, cost) = eng.submit_batch_costed(x).expect("serve");
+            fastest[i] = fastest[i].min(start.elapsed().as_secs_f64());
+            assert_eq!(results.len(), x.rows());
+            assert_eq!(cost, ledgers[i], "{:?} ledger changed between passes", BACKENDS[i]);
+        }
     }
+    let n = x.rows() as f64;
+    ledgers
+        .iter()
+        .zip(fastest)
+        .map(|(cost, secs)| Row {
+            rps: n / secs,
+            cycles_per_request: cost.cycles as f64 / n,
+            energy_nj_per_request: cost.energy_nj / n,
+        })
+        .collect()
 }
 
 fn accuracy(results: &[ServeResult], y: &[usize]) -> f64 {
@@ -270,14 +297,19 @@ fn mean_samples(results: &[ServeResult]) -> f64 {
 }
 
 /// Times the quantized micro-batched path under one sampling policy at
-/// `max_batch` 128 and one worker, returning `(requests/sec, results)`.
+/// `max_batch` 128 and one worker — the fastest of [`TIMED_PASSES`]
+/// passes after a warm-up — returning `(requests/sec, results)`.
 fn policy_rps(vibnn: &Vibnn, x: &Matrix, policy: PolicySpec) -> (f64, Vec<ServeResult>) {
     let eng = engine(vibnn.clone(), BackendKind::Quantized, 128, 1, Some(policy));
-    let _ = eng.submit_batch(x).expect("warm-up serve");
-    let start = Instant::now();
-    let results = eng.submit_batch(x).expect("serve");
-    let elapsed = start.elapsed().as_secs_f64();
-    (x.rows() as f64 / elapsed, results)
+    let results = eng.submit_batch(x).expect("warm-up serve");
+    let mut fastest = f64::INFINITY;
+    for _ in 0..TIMED_PASSES {
+        let start = Instant::now();
+        let again = eng.submit_batch(x).expect("serve");
+        fastest = fastest.min(start.elapsed().as_secs_f64());
+        assert_eq!(again, results, "{policy} results changed between passes");
+    }
+    (x.rows() as f64 / fastest, results)
 }
 
 fn main() {
@@ -297,19 +329,23 @@ fn main() {
     let batched_rps = x.rows() as f64 / start.elapsed().as_secs_f64();
 
     let macs_per_request = (macs_per_row(&vibnn) * w.mc_samples) as f64;
+    let mut cells = HashMap::new();
+    for mb in MAX_BATCHES {
+        for wk in WORKERS {
+            cells.insert((mb, wk), measure_cell(&vibnn, &x, mb, wk));
+        }
+    }
     let mut grid = String::new();
-    for backend in BACKENDS {
-        for mb in [1usize, 8, 32] {
+    for (b, backend) in BACKENDS.into_iter().enumerate() {
+        for mb in MAX_BATCHES {
             // The stage split does not depend on the worker count: one
             // warm-up and one timed replay per max_batch.
             let stages = (backend == BackendKind::Quantized).then(|| {
                 let _ = quantized_stages(&vibnn, &x, mb, &reference);
                 quantized_stages(&vibnn, &x, mb, &reference)
             });
-            for wk in [1usize, 2, 4] {
-                // Warm-up pass, then measure.
-                let _ = measure(&vibnn, backend, &x, mb, wk);
-                let row = measure(&vibnn, backend, &x, mb, wk);
+            for wk in WORKERS {
+                let row = &cells[&(mb, wk)][b];
                 println!(
                     "{backend:>9?}  max_batch {mb:3}  workers {wk}  {:10.1} req/s  \
                      {:8.1} cycles/req  {:10.2} nJ/req",

@@ -2,14 +2,17 @@
 //!
 //! [`CycleAccelerator`] executes a quantized BNN inference the way the
 //! hardware does — PE-set by PE-set, iteration by iteration — while
-//! counting cycles and memory traffic. Its numeric outputs are
-//! bit-identical to [`crate::QuantizedBnn::forward_with_weights`] (same
-//! integer arithmetic, same order), and its cycle count equals the
-//! closed-form [`crate::Schedule`]; both equivalences are enforced by
-//! tests.
+//! counting cycles and memory traffic. Its logits are bit-identical to
+//! [`crate::QuantizedBnn::forward_with_weights`] (same integer
+//! arithmetic, same order), its Monte Carlo probabilities to
+//! [`crate::QuantizedBnn::predict_proba_mc_parallel`] (same softmax, same
+//! mean), and its cycle count equals the closed-form [`crate::Schedule`];
+//! each equivalence is enforced by tests.
 
+use vibnn_bnn::reduce_mean;
 use vibnn_fixed::MacAccumulator;
 use vibnn_grng::{GaussianSource, StreamFork};
+use vibnn_nn::{softmax_rows, Matrix};
 
 use crate::controller::{LAYER_CONTROL, PIPELINE_FILL};
 use crate::{AcceleratorConfig, QuantizedBnn, Schedule};
@@ -105,63 +108,41 @@ impl CycleAccelerator {
         self.run_ticked(input, &weights)
     }
 
-    /// Serving entry point: runs one image through all configured MC
-    /// samples where sample `s` draws its weights from the substream
-    /// `eps.fork(s)` — the same per-sample forking convention the
-    /// software and quantized-host serving paths use. Because each row
-    /// re-derives every sample's substream from scratch, results are
-    /// independent of batch composition and arrival order.
+    /// Runs one image through all configured MC samples, tick by tick,
+    /// where sample `s` draws its weights from the substream
+    /// `eps.fork(s)` — the per-sample forking convention every Monte
+    /// Carlo path uses. Each member's ticked logits go through
+    /// [`softmax_rows`] and the members' mean through [`reduce_mean`]:
+    /// the arithmetic of [`QuantizedBnn::sample_member`] and
+    /// [`QuantizedBnn::predict_proba_mc_parallel`], so the result equals
+    /// the functional datapath bit for bit. Because each row re-derives
+    /// every sample's substream from scratch, results are independent of
+    /// batch composition and arrival order.
     ///
     /// Returns the averaged class probabilities, the per-sample softmax
-    /// probability vectors (for MC-spread statistics), and this
-    /// request's exact [`RequestCost`].
+    /// probabilities (each a `1 × classes` matrix, for MC-spread
+    /// statistics), and this request's exact [`RequestCost`].
     pub fn infer_forked<S: StreamFork>(
         &mut self,
         input: &[f32],
         eps: &S,
-    ) -> (Vec<f32>, Vec<Vec<f64>>, RequestCost) {
-        let classes = *self.qbnn.layer_sizes().last().expect("sizes");
+    ) -> (Vec<f32>, Vec<Matrix>, RequestCost) {
         let before = self.stats.cycles;
-        let mut acc = vec![0.0f64; classes];
-        let mut members = Vec::with_capacity(self.cfg.mc_samples);
-        for s in 0..self.cfg.mc_samples {
-            let probs = self.infer_sample_forked(input, s as u64, eps);
-            for (a, &p) in acc.iter_mut().zip(&probs) {
-                *a += p;
-            }
-            members.push(probs);
-        }
-        let probs: Vec<f32> = acc
-            .iter()
-            .map(|&v| (v / self.cfg.mc_samples as f64) as f32)
+        let members: Vec<Matrix> = (0..self.cfg.mc_samples as u64)
+            .map(|s| {
+                let logits = self.infer_sample(input, &mut eps.fork(s));
+                let mut probs = Matrix::from_vec(1, logits.len(), logits);
+                softmax_rows(&mut probs);
+                probs
+            })
             .collect();
+        let probs = reduce_mean(&members).data().to_vec();
         let cycles = self.stats.cycles - before;
         let cost = RequestCost {
             cycles,
             energy_nj: self.energy_nj(cycles),
         };
         (probs, members, cost)
-    }
-
-    /// One Monte Carlo member of [`Self::infer_forked`], on demand:
-    /// runs `input` through sample `sample`, drawing weights from the
-    /// substream `eps.fork(sample)` — exactly the member that
-    /// `infer_forked` would compute at that position — and returns its
-    /// softmax probability vector. Calling this for `sample` in
-    /// `0..mc_samples` and averaging reproduces `infer_forked` bit for
-    /// bit; stopping earlier reproduces a deployment configured with
-    /// that smaller sample count. Cycle and memory counters accumulate
-    /// as usual, so callers can attribute per-sample cost through
-    /// [`Self::stats`] deltas and [`Self::energy_nj`].
-    pub fn infer_sample_forked<S: StreamFork>(
-        &mut self,
-        input: &[f32],
-        sample: u64,
-        eps: &S,
-    ) -> Vec<f64> {
-        let mut eps_s = eps.fork(sample);
-        let logits = self.infer_sample(input, &mut eps_s);
-        softmax(&logits)
     }
 
     /// System power draw in watts for this deployment under the
@@ -257,19 +238,11 @@ impl CycleAccelerator {
     }
 }
 
-fn softmax(logits: &[f32]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f64> = logits.iter().map(|&v| f64::from(v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vibnn_bnn::{Bnn, BnnConfig};
     use vibnn_grng::BoxMullerGrng;
-    use vibnn_nn::Matrix;
 
     fn small_cfg() -> AcceleratorConfig {
         AcceleratorConfig {
@@ -313,8 +286,9 @@ mod tests {
             sim.run_ticked(calib.row(0), &w2)
         };
         for (c, &f) in functional.row(0).iter().enumerate() {
-            assert!(
-                (sim_out[c] - f).abs() < 1e-9,
+            assert_eq!(
+                sim_out[c].to_bits(),
+                f.to_bits(),
                 "logit {c}: sim {} vs functional {f}",
                 sim_out[c]
             );

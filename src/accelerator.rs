@@ -316,8 +316,8 @@ impl Vibnn {
     /// Monte Carlo ensemble spread across worker threads (`threads == 0`
     /// honours `VIBNN_THREADS`). Sample `s` draws from `eps.fork(s)`, so
     /// results are bit-identical for every thread count, and each row
-    /// matches [`CycleAccelerator::infer_forked`] on the cycle simulator
-    /// to float rounding.
+    /// equals [`CycleAccelerator::infer_forked`] on the cycle simulator
+    /// bit for bit.
     pub fn predict_proba_parallel<S: StreamFork + Sync>(
         &self,
         x: &Matrix,
@@ -451,7 +451,7 @@ mod tests {
             let f = accel.predict_proba_parallel(x, eps, 1);
             let (t, _, _) = accel.simulator().infer_forked(x.row(0), eps);
             for (c, &p) in f.row(0).iter().enumerate() {
-                assert!((t[c] - p).abs() < 1e-5, "class {c}: {} vs {p}", t[c]);
+                assert_eq!(t[c].to_bits(), p.to_bits(), "class {c}: {} vs {p}", t[c]);
             }
         }
         let x = calib.rows_slice(0, 1);

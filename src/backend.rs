@@ -14,10 +14,10 @@
 //!   [`QuantizedBnn::predict_proba_mc_members_parallel`]). This is the
 //!   **default**; its results are bit-identical to the pre-backend
 //!   serving engine.
-//! - [`CycleBackend`] — hardware in the loop: every request runs
-//!   through the cycle-ticked [`CycleAccelerator`], and the batch comes
-//!   back with exact cycle counts and energy (nJ) charged under the
-//!   [`vibnn_hw::power`] system model.
+//! - [`CycleBackend`] — hardware in the loop: the quantized datapath's
+//!   bits, with each batch charged the modeled accelerator's cycles and
+//!   the energy (nJ) they dissipate under the [`vibnn_hw::power`] system
+//!   model.
 //!
 //! # Determinism
 //!
@@ -37,22 +37,26 @@
 //! stop each row when its [`SamplingPolicy`] says so, and finish the row
 //! through the one finalizer that computes argmax, entropy and `mc_std`.
 //! A fixed sample count is that loop under [`ExactN`]
-//! ([`InferenceBackend::serve_microbatch`]). The software and quantized
-//! backends share one host driver that computes the samples every row is
-//! guaranteed to draw in parallel across `workers`.
+//! ([`InferenceBackend::serve_microbatch`]). All three backends share one
+//! host driver that computes the samples every row is guaranteed to draw
+//! in parallel across `workers`; the cycle backend runs the quantized
+//! member through it, so it serves exactly the quantized backend's bits.
 //!
 //! # Cost accounting
 //!
 //! Every micro-batch returns a [`BackendCost`]. The software and
 //! quantized hosts charge zero cycles/energy (they are host code, not
-//! modeled hardware); the cycle backend charges the exact simulated
-//! cycles and the energy those cycles dissipate at the configured
-//! clock. Costs accumulate per engine and per cluster replica, surface
-//! in `ClusterMetrics`, and travel over the ingest wire.
+//! modeled hardware); the cycle backend charges
+//! [`vibnn_hw::Schedule::cycles_per_sample`] cycles per Monte Carlo sample
+//! drawn — the count the ticked [`CycleAccelerator`] reaches, which
+//! depends on the layer shapes alone — and the energy those cycles
+//! dissipate at the configured clock. Costs accumulate per engine and
+//! per cluster replica, surface in `ClusterMetrics`, and travel over the
+//! ingest wire.
 
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
-use vibnn_hw::{CycleAccelerator, McScratch, QuantizedBnn};
+use vibnn_hw::{CycleAccelerator, McScratch, QuantizedBnn, Schedule};
 use vibnn_nn::{relu, softmax_rows, Matrix};
 
 use crate::sampler::{ExactN, RowTracker, SampleDecision, SamplingPolicy};
@@ -82,7 +86,8 @@ pub enum BackendKind {
     /// Quantized host path — the historical serving datapath.
     #[default]
     Quantized,
-    /// Cycle-ticked accelerator model with cycle/energy accounting.
+    /// The quantized datapath priced as the modeled accelerator:
+    /// `Quantized`'s bits with cycle/energy accounting.
     Cycle,
 }
 
@@ -286,7 +291,7 @@ impl HostRow {
     }
 }
 
-/// The sampling loop of the host (software/quantized) backends.
+/// The sampling loop every backend runs.
 /// `member(x, src, scratch)` computes one Monte Carlo member — softmax
 /// probabilities for the rows of `x` — from `src = eps.fork(s)`.
 ///
@@ -552,33 +557,31 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for SoftwareBackend {
     }
 }
 
-/// Hardware in the loop: every request runs through the cycle-ticked
-/// [`CycleAccelerator`] one member at a time
-/// ([`CycleAccelerator::infer_sample_forked`], so sample `s` of any
-/// request draws from `eps.fork(s)` exactly like the host backends), and
-/// the batch cost carries the exact simulated cycles plus the energy
-/// they dissipate under the [`vibnn_hw::power`] model. A row served at
-/// `n` samples gets the bits of [`CycleAccelerator::infer_forked`] on a
-/// deployment configured with `n` samples: the simulator's single f64
-/// mean, not the host backends' fixed-lane one.
-///
-/// Rows run sequentially on the single modeled accelerator — `workers`
-/// is ignored — but results remain independent of batch composition
-/// because each row re-derives its substreams from scratch.
+/// Hardware in the loop, priced by the modeled accelerator: rows are
+/// served on the quantized datapath through the same host driver and
+/// member as [`QuantizedBackend`], so a row's bits are exactly
+/// `Quantized`'s — which equal the ticked
+/// [`CycleAccelerator::infer_forked`] — and `workers` is honoured the
+/// same way. Every Monte Carlo sample drawn is charged
+/// [`Schedule::cycles_per_sample`] cycles, the count the ticked simulator
+/// produces (the schedule depends on the layer shapes alone), plus the
+/// energy those cycles dissipate under the [`vibnn_hw::power`] model.
 #[derive(Debug, Clone)]
 pub struct CycleBackend {
     sim: CycleAccelerator,
+    cycles_per_sample: u64,
 }
 
 impl CycleBackend {
-    /// Wraps a ticking accelerator model.
+    /// Wraps an accelerator model: its network serves, its configuration
+    /// prices the cycles and the energy.
     pub fn new(sim: CycleAccelerator) -> Self {
-        Self { sim }
-    }
-
-    /// The wrapped simulator (cumulative [`vibnn_hw::SimStats`]).
-    pub fn simulator(&self) -> &CycleAccelerator {
-        &self.sim
+        let cycles_per_sample =
+            Schedule::new(sim.config(), &sim.network().layer_sizes()).cycles_per_sample();
+        Self {
+            sim,
+            cycles_per_sample,
+        }
     }
 }
 
@@ -593,53 +596,19 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
         policy: &dyn SamplingPolicy,
         max_samples: usize,
         eps: &S,
-        _workers: usize,
+        workers: usize,
     ) -> (Vec<RowOutcome>, BackendCost) {
-        assert!(max_samples > 0, "need at least one Monte Carlo sample");
-        let mut out = Vec::with_capacity(chunk.rows());
-        let mut cost = BackendCost::default();
-        for r in 0..chunk.rows() {
-            let before = self.sim.stats().cycles;
-            let mut tracker: Option<RowTracker> = None;
-            let mut acc: Vec<f64> = Vec::new();
-            let mut members: Vec<Vec<f64>> = Vec::with_capacity(max_samples);
-            let mut verdict = SampleDecision::Continue;
-            // Past the budget a still-running verdict is clamped to a stop.
-            while members.len() < max_samples
-                && matches!(verdict, SampleDecision::Continue | SampleDecision::Escalate)
-            {
-                let probs = self
-                    .sim
-                    .infer_sample_forked(chunk.row(r), members.len() as u64, eps);
-                let t = tracker.get_or_insert_with(|| RowTracker::new(probs.len(), max_samples));
-                verdict = policy.decide(&t.observe(&probs));
-                acc.resize(probs.len(), 0.0);
-                for (a, &p) in acc.iter_mut().zip(&probs) {
-                    *a += p;
-                }
-                members.push(probs);
-            }
-            let n = members.len();
-            let cycles = self.sim.stats().cycles - before;
-            cost.accumulate(BackendCost {
-                cycles,
-                energy_nj: self.sim.energy_nj(cycles),
-                samples: n as u64,
-            });
-            out.push(if verdict == SampleDecision::Abstain {
-                RowOutcome::Abstained {
-                    id: r as u64,
-                    samples_used: n as u32,
-                    entropy_milli: tracker.as_ref().map_or(0, RowTracker::entropy_milli),
-                }
-            } else {
-                // The mean is the simulator's own arithmetic: a single f64
-                // accumulation chain over members, truncated to f32 — what
-                // `infer_forked` computes for a deployment with `n` samples.
-                let proba = acc.iter().map(|&v| (v / n as f64) as f32).collect();
-                RowOutcome::Served(finish_row(r as u64, proba, n, |k, c| members[k][c]))
-            });
-        }
+        let qbnn = self.sim.network();
+        let (out, mut cost) = drive_host_rows(
+            chunk,
+            policy,
+            max_samples,
+            eps,
+            workers,
+            |x, src, scratch: &mut McScratch| qbnn.sample_member(x, src, scratch),
+        );
+        cost.cycles = cost.samples * self.cycles_per_sample;
+        cost.energy_nj = self.sim.energy_nj(cost.cycles);
         (out, cost)
     }
 }
@@ -828,7 +797,8 @@ mod tests {
                 (0..x.rows())
                     .map(|r| {
                         let (proba, members, _) = sim.infer_forked(x.row(r), eps);
-                        (proba, members)
+                        let widen = |m: &Matrix| m.row(0).iter().map(|&p| f64::from(p)).collect();
+                        (proba, members.iter().map(widen).collect())
                     })
                     .collect()
             }
@@ -967,6 +937,54 @@ mod tests {
                 };
                 assert_eq!(*samples_used, 3, "{kind} abstains only at the budget");
                 assert!(o.clone().into_result().is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_backend_serves_the_quantized_bits_and_charges_the_schedule() {
+        let vibnn = tiny_vibnn();
+        let x = rows();
+        let eps = ZigguratGrng::new(0x6161);
+        let sim = CycleAccelerator::new(vibnn.config().clone(), vibnn.network().clone());
+        let per_sample =
+            Schedule::new(sim.config(), &sim.network().layer_sizes()).cycles_per_sample();
+        let bits = |o: &RowOutcome| -> Vec<u32> {
+            match o {
+                RowOutcome::Served(r) => r.proba.iter().map(|p| p.to_bits()).collect(),
+                RowOutcome::Abstained { .. } => Vec::new(),
+            }
+        };
+        for spec in [
+            PolicySpec::ExactN,
+            PolicySpec::EarlyExit { k: 1, min_samples: 1 },
+            PolicySpec::RiskTiered {
+                k: 1,
+                min_samples: 2,
+                escalate_milli: 900,
+                abstain: true,
+            },
+        ] {
+            let policy = spec.instantiate();
+            for workers in [1usize, 2] {
+                let serve = |kind: BackendKind| {
+                    kind.instantiate::<ZigguratGrng>(&vibnn).serve_adaptive(
+                        &x,
+                        policy.as_ref(),
+                        5,
+                        &eps,
+                        workers,
+                    )
+                };
+                let (quant, quant_cost) = serve(BackendKind::Quantized);
+                let (cycle, cost) = serve(BackendKind::Cycle);
+                assert_eq!(cycle, quant, "{spec} at {workers} workers");
+                for (r, (c, q)) in cycle.iter().zip(&quant).enumerate() {
+                    assert_eq!(bits(c), bits(q), "{spec} row {r} bits at {workers} workers");
+                }
+                assert_eq!(cost.samples, quant_cost.samples, "{spec}");
+                assert_eq!(cost.cycles, cost.samples * per_sample, "{spec}");
+                assert_eq!(cost.energy_nj, sim.energy_nj(cost.cycles), "{spec}");
             }
         }
     }

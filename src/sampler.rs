@@ -230,11 +230,11 @@ pub enum SampleDecision {
 /// let mut tracker = RowTracker::new(2, 8);
 /// // First confident sample: signature established, but k = 2 stable
 /// // observations are required (and min_samples = 2).
-/// let first = tracker.observe(&[0.9, 0.1]);
+/// let first = tracker.observe_f32(&[0.9, 0.1]);
 /// assert_eq!(policy.decide(&first), SampleDecision::Continue);
 /// // Second agreeing sample: the running mean keeps the same argmax and
 /// // quantized entropy, so the signature is 2-stable — stop at 2 of 8.
-/// let second = tracker.observe(&[0.9, 0.1]);
+/// let second = tracker.observe_f32(&[0.9, 0.1]);
 /// assert_eq!(second.stable, 2);
 /// assert_eq!(policy.decide(&second), SampleDecision::Stop);
 /// ```
@@ -382,19 +382,10 @@ impl RowTracker {
         }
     }
 
-    /// Folds one member probability vector (f64, one entry per class)
-    /// into the running mean and returns the observation a policy
-    /// decides on.
-    pub fn observe(&mut self, member: &[f64]) -> SampleObservation {
-        debug_assert_eq!(member.len(), self.acc.len(), "member width");
-        for (a, &p) in self.acc.iter_mut().zip(member) {
-            *a += p;
-        }
-        self.summarize()
-    }
-
-    /// [`observe`](Self::observe) for f32 members (the host backends'
-    /// member matrices); each probability is widened to f64 first.
+    /// Folds one member probability vector (one entry per class, a row
+    /// of the backends' member matrices) into the running mean, each
+    /// probability widened to f64 first, and returns the observation a
+    /// policy decides on.
     pub fn observe_f32(&mut self, member: &[f32]) -> SampleObservation {
         debug_assert_eq!(member.len(), self.acc.len(), "member width");
         for (a, &p) in self.acc.iter_mut().zip(member) {
@@ -506,7 +497,7 @@ mod tests {
         let policy = ExactN;
         let mut tracker = RowTracker::new(3, 4);
         for s in 0..4u32 {
-            let obs = tracker.observe(&[0.98, 0.01, 0.01]);
+            let obs = tracker.observe_f32(&[0.98, 0.01, 0.01]);
             let want = if s == 3 {
                 SampleDecision::Stop
             } else {
@@ -521,10 +512,10 @@ mod tests {
         let policy = EarlyExit { k: 2, min_samples: 2 };
         let mut tracker = RowTracker::new(2, 8);
         assert_eq!(
-            policy.decide(&tracker.observe(&[0.9, 0.1])),
+            policy.decide(&tracker.observe_f32(&[0.9, 0.1])),
             SampleDecision::Continue
         );
-        let obs = tracker.observe(&[0.9, 0.1]);
+        let obs = tracker.observe_f32(&[0.9, 0.1]);
         assert_eq!(obs.stable, 2);
         assert_eq!(policy.decide(&obs), SampleDecision::Stop);
     }
@@ -533,10 +524,10 @@ mod tests {
     fn early_exit_resets_stability_when_the_argmax_flips() {
         let policy = EarlyExit { k: 2, min_samples: 1 };
         let mut tracker = RowTracker::new(2, 8);
-        let _ = tracker.observe(&[0.9, 0.1]);
+        let _ = tracker.observe_f32(&[0.9, 0.1]);
         // The flip drags the running mean across the argmax boundary —
         // a fresh signature, so stability restarts at 1.
-        let obs = tracker.observe(&[0.05, 0.95]);
+        let obs = tracker.observe_f32(&[0.05, 0.95]);
         assert_eq!(obs.stable, 1);
         assert_eq!(policy.decide(&obs), SampleDecision::Continue);
     }
@@ -545,12 +536,12 @@ mod tests {
     fn min_samples_gates_the_exit() {
         let policy = EarlyExit { k: 1, min_samples: 3 };
         let mut tracker = RowTracker::new(2, 8);
-        let _ = tracker.observe(&[1.0, 0.0]);
-        let obs = tracker.observe(&[1.0, 0.0]);
+        let _ = tracker.observe_f32(&[1.0, 0.0]);
+        let obs = tracker.observe_f32(&[1.0, 0.0]);
         // Signature is already stable, but the warm-up floor holds.
         assert!(obs.stable >= 1);
         assert_eq!(policy.decide(&obs), SampleDecision::Continue);
-        let obs = tracker.observe(&[1.0, 0.0]);
+        let obs = tracker.observe_f32(&[1.0, 0.0]);
         assert_eq!(policy.decide(&obs), SampleDecision::Stop);
     }
 
@@ -564,10 +555,10 @@ mod tests {
         };
         let mut tracker = RowTracker::new(2, 3);
         // Near-uniform members: normalized entropy ~1.0 ≥ 0.5.
-        let obs = tracker.observe(&[0.51, 0.49]);
+        let obs = tracker.observe_f32(&[0.51, 0.49]);
         assert_eq!(policy.decide(&obs), SampleDecision::Escalate);
-        let _ = tracker.observe(&[0.49, 0.51]);
-        let obs = tracker.observe(&[0.5, 0.5]);
+        let _ = tracker.observe_f32(&[0.49, 0.51]);
+        let obs = tracker.observe_f32(&[0.5, 0.5]);
         assert_eq!(obs.drawn, 3);
         assert_eq!(policy.decide(&obs), SampleDecision::Abstain);
         assert!(tracker.entropy_milli() > 900);
@@ -589,8 +580,8 @@ mod tests {
             abstain: true,
         };
         let mut tracker = RowTracker::new(2, 8);
-        let _ = tracker.observe(&[0.99, 0.01]);
-        let obs = tracker.observe(&[0.99, 0.01]);
+        let _ = tracker.observe_f32(&[0.99, 0.01]);
+        let obs = tracker.observe_f32(&[0.99, 0.01]);
         assert_eq!(policy.decide(&obs), SampleDecision::Stop);
     }
 
@@ -624,8 +615,8 @@ mod tests {
             let mut tracker = RowTracker::new(classes, max_samples);
             for (s, raw) in members.chunks(classes).take(max_samples).enumerate() {
                 let total: f64 = raw.iter().sum::<f64>() + 1e-9;
-                let member: Vec<f64> = raw.iter().map(|&p| p / total).collect();
-                let obs = tracker.observe(&member);
+                let member: Vec<f32> = raw.iter().map(|&p| (p / total) as f32).collect();
+                let obs = tracker.observe_f32(&member);
                 let decision = policy.decide(&obs);
                 if (obs.drawn as usize) < guaranteed {
                     prop_assert!(
@@ -635,16 +626,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn observe_f32_matches_observe_f64_for_exact_values() {
-        let mut a = RowTracker::new(3, 4);
-        let mut b = RowTracker::new(3, 4);
-        // 0.5/0.25 are exact in both widths, so both trackers see the
-        // identical accumulator and must emit the identical observation.
-        let oa = a.observe(&[0.5, 0.25, 0.25]);
-        let ob = b.observe_f32(&[0.5, 0.25, 0.25]);
-        assert_eq!(oa, ob);
     }
 }

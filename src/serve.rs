@@ -262,7 +262,7 @@ impl<S: StreamFork + Sync> ServeEngine<S> {
     /// [`Self::submit_batch`] plus the [`BackendCost`] this call charged
     /// (also folded into the engine's cumulative [`Self::cost`]). Host
     /// backends charge zero cycles/energy; the cycle backend reports
-    /// the exact simulated cycles and nanojoules for these rows.
+    /// the modeled accelerator's cycles and nanojoules for these rows.
     ///
     /// # Errors
     ///

@@ -52,7 +52,7 @@ fn cycle_accurate_equals_functional_on_trained_network() {
         let f = accel.predict_proba_parallel(x, eps, 1);
         let (t, _, _) = accel.simulator().infer_forked(x.row(0), eps);
         for (c, &p) in f.row(0).iter().enumerate() {
-            assert!((t[c] - p).abs() < 1e-5, "row {r} class {c}: {} vs {p}", t[c]);
+            assert_eq!(t[c].to_bits(), p.to_bits(), "row {r} class {c}: {} vs {p}", t[c]);
         }
     }
     for r in 0..5 {

@@ -16,24 +16,48 @@ fn cfg(t: usize, n: usize, mc: usize) -> AcceleratorConfig {
     }
 }
 
+/// Ticks one Monte Carlo sample of `arch` on `c` and asserts the cycle
+/// delta equals the closed form the cycle backend charges per sample.
+fn assert_ticked_cycles_equal_schedule(arch: &[usize], c: &AcceleratorConfig) {
+    let bnn = Bnn::new(BnnConfig::new(arch), 1);
+    let calib = Matrix::zeros(2, arch[0]);
+    let q = QuantizedBnn::from_params(&bnn.params(), 8, &calib);
+    let mut sim = CycleAccelerator::new(c.clone(), q);
+    let before = sim.stats().cycles;
+    let _ = sim.infer_sample(calib.row(0), &mut BoxMullerGrng::new(7));
+    assert_eq!(
+        sim.stats().cycles - before,
+        Schedule::new(c, arch).cycles_per_sample(),
+        "{arch:?} at T={} N={}",
+        c.pe_sets,
+        c.pe_inputs
+    );
+}
+
 #[test]
 fn simulator_cycles_equal_schedule_across_geometries() {
-    let arch = [20usize, 24, 12, 4];
-    let bnn = Bnn::new(BnnConfig::new(&arch), 1);
-    let calib = Matrix::zeros(2, 20);
-    let q = QuantizedBnn::from_params(&bnn.params(), 8, &calib);
     for (t, n) in [(1usize, 4usize), (2, 4), (4, 4), (2, 8), (4, 8)] {
-        let c = cfg(t, n, 1);
-        let mut sim = CycleAccelerator::new(c.clone(), q.clone());
-        let mut eps = BoxMullerGrng::new(7);
-        let _ = sim.infer_sample(calib.row(0), &mut eps);
-        let sched = Schedule::new(&c, &arch);
-        assert_eq!(
-            sim.stats().cycles,
-            sched.cycles_per_sample(),
-            "geometry T={t} N={n}"
-        );
+        assert_ticked_cycles_equal_schedule(&[20, 24, 12, 4], &cfg(t, n, 1));
     }
+    // Every valid geometry of `ablation_pe_geometry`'s grid, on the
+    // paper's MNIST network and on the [26, 64, 2] interactive model.
+    let mut valid = 0;
+    for n in [4usize, 8, 16] {
+        for t in [4usize, 8, 16, 32] {
+            let c = AcceleratorConfig {
+                max_word_size: 2048,
+                ..cfg(t, n, 1)
+            };
+            if c.validate().is_err() || !c.writeback_ok(200) {
+                continue;
+            }
+            valid += 1;
+            assert_ticked_cycles_equal_schedule(&[784, 200, 200, 10], &c);
+            assert_ticked_cycles_equal_schedule(&[26, 64, 2], &c);
+        }
+    }
+    assert!(valid > 0, "the ablation grid has no valid geometry");
+    assert_ticked_cycles_equal_schedule(&[26, 64, 2], &AcceleratorConfig::paper());
 }
 
 #[test]
@@ -52,7 +76,7 @@ fn simulator_outputs_invariant_to_geometry() {
             None => reference = Some(out),
             Some(r) => {
                 for (a, b) in r.iter().zip(&out) {
-                    assert!((a - b).abs() < 1e-9, "geometry changed numerics");
+                    assert_eq!(a.to_bits(), b.to_bits(), "geometry changed numerics");
                 }
             }
         }
