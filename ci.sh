@@ -15,6 +15,9 @@ cargo test -q
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run
 
+echo "==> perfbench builds (its own workspace, so the steps above do not compile it)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

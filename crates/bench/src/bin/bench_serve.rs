@@ -296,20 +296,35 @@ fn mean_samples(results: &[ServeResult]) -> f64 {
     total as f64 / results.len().max(1) as f64
 }
 
-/// Times the quantized micro-batched path under one sampling policy at
-/// `max_batch` 128 and one worker — the fastest of [`TIMED_PASSES`]
-/// passes after a warm-up — returning `(requests/sec, results)`.
-fn policy_rps(vibnn: &Vibnn, x: &Matrix, policy: PolicySpec) -> (f64, Vec<ServeResult>) {
-    let eng = engine(vibnn.clone(), BackendKind::Quantized, 128, 1, Some(policy));
-    let results = eng.submit_batch(x).expect("warm-up serve");
-    let mut fastest = f64::INFINITY;
+/// Times the quantized micro-batched path under each of `policies` at
+/// `max_batch` 128 and one worker: a warm-up pass per policy, then
+/// [`TIMED_PASSES`] rounds of one timed pass per policy. The policies
+/// alternate within each round, as the backends do in [`measure_cell`],
+/// so drift in the host's speed reaches them alike. Returns each
+/// policy's requests/sec (from its fastest pass) and results.
+fn policy_rps<const N: usize>(
+    vibnn: &Vibnn,
+    x: &Matrix,
+    policies: [PolicySpec; N],
+) -> ([f64; N], [Vec<ServeResult>; N]) {
+    let engines =
+        policies.map(|policy| engine(vibnn.clone(), BackendKind::Quantized, 128, 1, Some(policy)));
+    let results: [Vec<ServeResult>; N] =
+        std::array::from_fn(|i| engines[i].submit_batch(x).expect("warm-up serve"));
+    let mut fastest = [f64::INFINITY; N];
     for _ in 0..TIMED_PASSES {
-        let start = Instant::now();
-        let again = eng.submit_batch(x).expect("serve");
-        fastest = fastest.min(start.elapsed().as_secs_f64());
-        assert_eq!(again, results, "{policy} results changed between passes");
+        for (i, eng) in engines.iter().enumerate() {
+            let start = Instant::now();
+            let again = eng.submit_batch(x).expect("serve");
+            fastest[i] = fastest[i].min(start.elapsed().as_secs_f64());
+            assert_eq!(
+                again, results[i],
+                "{} results changed between passes",
+                policies[i]
+            );
+        }
     }
-    (x.rows() as f64 / fastest, results)
+    (fastest.map(|secs| x.rows() as f64 / secs), results)
 }
 
 fn main() {
@@ -386,14 +401,16 @@ fn main() {
 
     // Sampling-policy comparison at one fixed configuration; `ExactN`'s
     // bits were pinned to the batched path before timing.
-    let (exact_rps, exact_results) = policy_rps(&vibnn, &x, PolicySpec::ExactN);
-    let (early_rps, early_results) = policy_rps(
+    let ([exact_rps, early_rps], [exact_results, early_results]) = policy_rps(
         &vibnn,
         &x,
-        PolicySpec::EarlyExit {
-            k: 2,
-            min_samples: 2,
-        },
+        [
+            PolicySpec::ExactN,
+            PolicySpec::EarlyExit {
+                k: 2,
+                min_samples: 2,
+            },
+        ],
     );
     let exact_acc = accuracy(&exact_results, &y);
     let early_acc = accuracy(&early_results, &y);

@@ -38,6 +38,9 @@ pub mod timing;
 
 pub use config::{AcceleratorConfig, ConfigError};
 pub use controller::{LayerCycles, Schedule};
-pub use quantized::{ForwardScratch, McScratch, QuantizationSpec, QuantizedBnn};
+pub use quantized::{
+    AsWeightSet, ForwardScratch, McScratch, QuantizationSpec, QuantizedBnn, QuantizedInput,
+    WeightSet,
+};
 pub use resources::{GrngResources, DEVICE_RAM_BLOCKS, ResourceModel, SystemResources, PAPER_RLF_GRNG_64, PAPER_RLF_SYSTEM, PAPER_WALLACE_GRNG_64, PAPER_WALLACE_SYSTEM};
 pub use sim::{CycleAccelerator, RequestCost, SimStats};

@@ -10,6 +10,15 @@
 //!    accumulator (no intermediate rounding — the adder tree of Figure 11),
 //!    adds the bias, requantizes once to the activation format, and applies
 //!    ReLU.
+//!
+//!    On the host, the storage follows the formats. When
+//!    `act_bits + w_bits ≤ 16` (the default `B = 8`), every activation,
+//!    weight and product `a·w` fits `i16`, so the sampled weight tables and
+//!    the activation tables are `i16` and each product is formed in an
+//!    `i16` lane before it joins the `i32` (or, for very wide layers,
+//!    `i64`) accumulator. Wider formats keep `i32` tables. A batch is
+//!    quantized once ([`QuantizedBnn::quantize_input`]) and read by every
+//!    Monte Carlo member of it.
 //! 3. The final layer's logits are dequantized; softmax and Monte Carlo
 //!    averaging (equation 6) happen at full precision on the host, as they
 //!    would on the CPU collecting accelerator outputs.
@@ -21,6 +30,9 @@
 //! inside the datapath are integer arithmetic — exact and associative —
 //! so quantized forward passes themselves are unaffected by the lane
 //! rule; only the float averaging step follows it.
+
+use std::borrow::Cow;
+use std::mem::size_of;
 
 use vibnn_bnn::{parallel_fork_map, reduce_mean, BnnParams};
 use vibnn_fixed::{choose_format, QFormat};
@@ -99,28 +111,279 @@ struct QLayer {
     bias_sigma: Vec<i32>,
 }
 
-/// Caller-owned buffers for [`QuantizedBnn::forward_into`]: flat
-/// row-major `i32` activation tables (a layer's input and output, which
-/// swap roles layer by layer) and the `i64` accumulators of layers that
-/// need the wide path. They grow to the largest shapes seen and are then
-/// reused, so a scratch kept across Monte Carlo samples and batches makes
-/// the forward pass allocation-free.
+/// Whether a format pair's activations, weights and every product `a·w`
+/// fit `i16`. Each factor is at most `2^(bits − 1)` in magnitude, so at
+/// `act_bits + w_bits ≤ 16` a product is at most `2^14`: the default
+/// `B = 8` qualifies, while a 9-bit and an 8-bit format do not, since
+/// `(−2^8)·(−2^7) = 2^15` wraps in `i16`.
+fn narrow_lanes(act_fmt: QFormat, weight_fmt: QFormat) -> bool {
+    act_fmt.total_bits() + weight_fmt.total_bits() <= 16
+}
+
+/// The storage of the forward's activation and weight tables: `i16` for
+/// a format pair under [`narrow_lanes`], `i32` otherwise.
+trait Lane: Copy + Default + PartialEq {
+    /// A raw value of a format this storage is used for.
+    fn from_raw(raw: i32) -> Self;
+    /// The raw value.
+    fn raw(self) -> i32;
+    /// `a·w`, for an accumulator proven to hold every term in `i32`.
+    fn product(self, w: Self) -> i32;
+}
+
+impl Lane for i16 {
+    fn from_raw(raw: i32) -> Self {
+        // Lossless: a format under `narrow_lanes` has at most 14 bits.
+        raw as i16
+    }
+
+    fn raw(self) -> i32 {
+        i32::from(self)
+    }
+
+    fn product(self, w: Self) -> i32 {
+        // Exact under `narrow_lanes` (|a·w| ≤ 2^14), and an i16 multiply
+        // fills a vector register with twice the products of an i32 one.
+        i32::from(self.wrapping_mul(w))
+    }
+}
+
+impl Lane for i32 {
+    fn from_raw(raw: i32) -> Self {
+        raw
+    }
+
+    fn raw(self) -> i32 {
+        self
+    }
+
+    fn product(self, w: Self) -> i32 {
+        self * w
+    }
+}
+
+/// Tables in the storage their formats allow ([`narrow_lanes`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Lanes<N, W> {
+    Narrow(N),
+    Wide(W),
+}
+
+impl<N: Default, W> Default for Lanes<N, W> {
+    fn default() -> Self {
+        Self::Narrow(N::default())
+    }
+}
+
+impl<N: Default, W: Default> Lanes<N, W> {
+    /// The narrow tables, empty ones in place of wide ones.
+    fn narrow_mut(&mut self) -> &mut N {
+        if let Self::Wide(_) = self {
+            *self = Self::Narrow(N::default());
+        }
+        match self {
+            Self::Narrow(n) => n,
+            Self::Wide(_) => unreachable!("made narrow above"),
+        }
+    }
+
+    /// The wide tables, empty ones in place of narrow ones.
+    fn wide_mut(&mut self) -> &mut W {
+        if let Self::Narrow(_) = self {
+            *self = Self::Wide(W::default());
+        }
+        match self {
+            Self::Wide(w) => w,
+            Self::Narrow(_) => unreachable!("made wide above"),
+        }
+    }
+}
+
+/// `raw` converted entry by entry to another storage.
+fn convert<A: Lane, B: Lane>(raw: &[A]) -> Vec<B> {
+    raw.iter().map(|&v| B::from_raw(v.raw())).collect()
+}
+
+/// A batch quantized to the activation format, in the storage of the
+/// forward that reads it. [`QuantizedBnn::quantize_input`] quantizes a
+/// batch once, and every Monte Carlo member of it reads the same table.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QuantizedInput {
+    rows: usize,
+    cols: usize,
+    /// The `(act, weight)` format pair of the network it was made for.
+    formats: Option<(QFormat, QFormat)>,
+    table: Lanes<Vec<i16>, Vec<i32>>,
+}
+
+impl QuantizedInput {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Overwrites `out` with the rows `indices` of `self`, in that order,
+    /// reusing its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Self) {
+        fn gather<T: Copy>(src: &[T], cols: usize, indices: &[usize], dst: &mut Vec<T>) {
+            dst.clear();
+            for &r in indices {
+                dst.extend_from_slice(&src[r * cols..(r + 1) * cols]);
+            }
+        }
+        out.rows = indices.len();
+        out.cols = self.cols;
+        out.formats = self.formats;
+        match &self.table {
+            Lanes::Narrow(t) => gather(t, self.cols, indices, out.table.narrow_mut()),
+            Lanes::Wide(t) => gather(t, self.cols, indices, out.table.wide_mut()),
+        }
+    }
+
+    /// Quantizes `x` to `formats.0`, in `i16` lanes if `narrow`.
+    fn quantize_from(&mut self, x: &Matrix, formats: (QFormat, QFormat), narrow: bool) {
+        fn quantize<T: Lane>(x: &Matrix, fmt: QFormat, dst: &mut Vec<T>) {
+            dst.clear();
+            dst.extend(x.data().iter().map(|&v| T::from_raw(fmt.quantize_f32(v))));
+        }
+        self.rows = x.rows();
+        self.cols = x.cols();
+        self.formats = Some(formats);
+        if narrow {
+            quantize(x, formats.0, self.table.narrow_mut());
+        } else {
+            quantize(x, formats.0, self.table.wide_mut());
+        }
+    }
+}
+
+/// Per-layer `(weights, biases)` tables in one storage.
+type Tables<T> = Vec<(Vec<T>, Vec<T>)>;
+
+/// One sampled weight set, the weight generator's output for one Monte
+/// Carlo sample: per layer, a row-major `in_dim × out_dim` table and the
+/// biases. When `act_bits + w_bits ≤ 16` (the default `B = 8`) the
+/// tables are `i16`, half the bytes of `i32` ones.
+///
+/// The sampler saturates every weight into the weight format, so a
+/// sampled set needs no range check before the forward. Hand-built `i32`
+/// tables come in through [`WeightSet::from_tables`], which checks them
+/// once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WeightSet {
+    /// The `(act, weight)` format pair of the network it was made for.
+    formats: Option<(QFormat, QFormat)>,
+    /// Whether every entry lies in the weight format (narrow tables
+    /// always do).
+    in_format: bool,
+    tables: Lanes<Tables<i16>, Tables<i32>>,
+}
+
+impl WeightSet {
+    /// Checks hand-built per-layer `(weights, biases)` tables against
+    /// `spec`'s formats, in one scan. Tables inside the weight format
+    /// take the forward of a sampled set, in `i16` lanes where the
+    /// formats allow. A single entry outside it keeps the whole set on
+    /// `i32` tables with wrapping `i64` accumulators, the arithmetic of
+    /// [`vibnn_fixed::MacAccumulator`].
+    pub fn from_tables(tables: &[(Vec<i32>, Vec<i32>)], spec: &QuantizationSpec) -> Self {
+        let fmt = spec.weight_fmt;
+        let in_format = tables.iter().all(|(w, b)| within(w, fmt) && within(b, fmt));
+        let tables = if in_format && narrow_lanes(spec.act_fmt, fmt) {
+            Lanes::Narrow(
+                tables
+                    .iter()
+                    .map(|(w, b)| (convert(w), convert(b)))
+                    .collect(),
+            )
+        } else {
+            Lanes::Wide(tables.to_vec())
+        };
+        Self {
+            formats: Some((spec.act_fmt, fmt)),
+            in_format,
+            tables,
+        }
+    }
+
+    /// The tables as `i32`, per layer `(weights, biases)`.
+    pub fn tables(&self) -> Vec<(Vec<i32>, Vec<i32>)> {
+        match &self.tables {
+            Lanes::Narrow(t) => t.iter().map(|(w, b)| (convert(w), convert(b))).collect(),
+            Lanes::Wide(t) => t.clone(),
+        }
+    }
+
+    /// Bytes the table entries occupy.
+    pub fn table_bytes(&self) -> usize {
+        fn bytes<T>(t: &Tables<T>) -> usize {
+            t.iter()
+                .map(|(w, b)| (w.len() + b.len()) * size_of::<T>())
+                .sum()
+        }
+        match &self.tables {
+            Lanes::Narrow(t) => bytes(t),
+            Lanes::Wide(t) => bytes(t),
+        }
+    }
+}
+
+/// Weights [`QuantizedBnn::forward_into`] runs on: a [`WeightSet`], or
+/// hand-built per-layer `(weights, biases)` `i32` tables, which
+/// [`WeightSet::from_tables`] checks on the way in.
+pub trait AsWeightSet {
+    /// `self` as a weight set for `spec`'s formats.
+    fn as_weight_set(&self, spec: &QuantizationSpec) -> Cow<'_, WeightSet>;
+}
+
+impl AsWeightSet for WeightSet {
+    fn as_weight_set(&self, _spec: &QuantizationSpec) -> Cow<'_, WeightSet> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsWeightSet for Vec<(Vec<i32>, Vec<i32>)> {
+    fn as_weight_set(&self, spec: &QuantizationSpec) -> Cow<'_, WeightSet> {
+        Cow::Owned(WeightSet::from_tables(self, spec))
+    }
+}
+
+/// One storage's forward buffers: the activation tables (a layer's input
+/// and output, which swap roles layer by layer) and the `i32` and `i64`
+/// accumulators.
+#[derive(Debug, Clone, Default)]
+struct Buffers<T> {
+    act: Vec<T>,
+    next: Vec<T>,
+    acc: Vec<i32>,
+    acc_wide: Vec<i64>,
+}
+
+/// Caller-owned buffers for [`QuantizedBnn::forward_into`]: the quantized
+/// input and both storages' activation tables and accumulators. They
+/// grow to the largest shapes seen and are then reused, so a scratch kept
+/// across Monte Carlo samples and batches makes the forward pass
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    act: Vec<i32>,
-    next: Vec<i32>,
-    wide: Vec<i64>,
+    input: QuantizedInput,
+    narrow: Buffers<i16>,
+    wide: Buffers<i32>,
 }
 
 /// Per-worker state of the Monte Carlo loops: the ε buffer, the sampled
-/// weight tables and the forward scratch of
-/// [`QuantizedBnn::sample_member`]. Each sample overwrites the tables in
-/// place, so keep one per worker across samples and batches and a member
-/// allocates nothing but its output.
+/// weight set and the forward scratch of [`QuantizedBnn::sample_member`].
+/// Each sample overwrites the tables in place, so keep one per worker
+/// across samples and batches and a member allocates nothing but its
+/// output.
 #[derive(Debug, Default)]
 pub struct McScratch {
     eps: Vec<f64>,
-    weights: Vec<(Vec<i32>, Vec<i32>)>,
+    weights: WeightSet,
     forward: ForwardScratch,
 }
 
@@ -143,8 +406,8 @@ fn narrow_accumulator_exact(in_dim: usize, act_fmt: QFormat, weight_fmt: QFormat
 }
 
 /// Whether every raw value lies in `fmt`'s range — the premise of
-/// [`narrow_accumulator_exact`] for weight tables, which a caller of
-/// [`QuantizedBnn::forward_into`] may build by hand.
+/// [`narrow_accumulator_exact`] for weight tables, which
+/// [`WeightSet::from_tables`] checks once for hand-built ones.
 fn within(raw: &[i32], fmt: QFormat) -> bool {
     let (lo, hi) = raw
         .iter()
@@ -153,11 +416,11 @@ fn within(raw: &[i32], fmt: QFormat) -> bool {
 }
 
 /// An integer accumulator of the forward kernel.
-trait Accumulator: Copy {
+trait Accumulator: Copy + Into<i64> {
     /// The bias term, at the product scale.
     fn bias(b: i32, act_f: u32) -> Self;
     /// `self + a·w`.
-    fn mac(self, a: i32, w: i32) -> Self;
+    fn mac<T: Lane>(self, a: T, w: T) -> Self;
 }
 
 impl Accumulator for i32 {
@@ -165,8 +428,8 @@ impl Accumulator for i32 {
         b << act_f
     }
 
-    fn mac(self, a: i32, w: i32) -> Self {
-        self + a * w
+    fn mac<T: Lane>(self, a: T, w: T) -> Self {
+        self + a.product(w)
     }
 }
 
@@ -175,8 +438,8 @@ impl Accumulator for i64 {
         i64::from(b) << act_f
     }
 
-    fn mac(self, a: i32, w: i32) -> Self {
-        self.wrapping_add(i64::from(a) * i64::from(w))
+    fn mac<T: Lane>(self, a: T, w: T) -> Self {
+        self.wrapping_add(i64::from(a.raw()) * i64::from(w.raw()))
     }
 }
 
@@ -184,11 +447,11 @@ impl Accumulator for i64 {
 /// over flat row-major tables, row-outer (in blocks of [`ROW_BLOCK`]),
 /// input-middle, output-inner, so weight reads are contiguous and the
 /// inner loop vectorises. Zero inputs contribute nothing and are skipped.
-fn mac_layer<A: Accumulator>(
-    input: &[i32],
+fn mac_layer<T: Lane, A: Accumulator>(
+    input: &[T],
     in_dim: usize,
-    w: &[i32],
-    bias: &[i32],
+    w: &[T],
+    bias: &[T],
     act_f: u32,
     acc: &mut [A],
 ) {
@@ -198,7 +461,7 @@ fn mac_layer<A: Accumulator>(
     }
     for row in acc.chunks_exact_mut(out_dim) {
         for (a, &b) in row.iter_mut().zip(bias) {
-            *a = A::bias(b, act_f);
+            *a = A::bias(b.raw(), act_f);
         }
     }
     if in_dim == 0 {
@@ -214,7 +477,7 @@ fn mac_layer<A: Accumulator>(
                 .zip(acc_block.chunks_exact_mut(out_dim))
             {
                 let a = x_row[i];
-                if a == 0 {
+                if a == T::default() {
                     continue;
                 }
                 for (acc, &wv) in acc_row.iter_mut().zip(w_row) {
@@ -223,6 +486,23 @@ fn mac_layer<A: Accumulator>(
             }
         }
     }
+}
+
+/// A layer's outputs: each accumulator requantized into the activation
+/// format `fmt` (the sums carry `shift` more fraction bits), then ReLU
+/// on hidden layers.
+fn finish_layer<A: Accumulator, T: Lane>(
+    acc: &[A],
+    fmt: QFormat,
+    shift: u32,
+    relu: bool,
+    next: &mut Vec<T>,
+) {
+    next.clear();
+    next.extend(acc.iter().map(|&raw| {
+        let v = fmt.requantize(raw.into(), fmt.frac_bits() + shift);
+        T::from_raw(if relu { vibnn_fixed::relu_raw(v) } else { v })
+    }));
 }
 
 /// A BNN deployed on the fixed-point datapath.
@@ -334,6 +614,17 @@ impl QuantizedBnn {
         self.layers.iter().map(|l| l.mu.len()).sum()
     }
 
+    /// The `(act, weight)` format pair, which decides the forward's
+    /// storage ([`narrow_lanes`]).
+    fn formats(&self) -> (QFormat, QFormat) {
+        (self.spec.act_fmt, self.spec.weight_fmt)
+    }
+
+    /// Whether this network's forward runs in `i16` lanes.
+    fn narrow(&self) -> bool {
+        narrow_lanes(self.spec.act_fmt, self.spec.weight_fmt)
+    }
+
     /// Samples one full set of quantized weights `w_q = µ_q + requant(σ_q·ε_q)`
     /// — the weight generator's output for one Monte Carlo sample.
     /// Returned per layer as row-major `in_dim × out_dim` tables, plus
@@ -343,10 +634,7 @@ impl QuantizedBnn {
     /// weight table and one per bias row (the same stream order as
     /// per-scalar draws), so hardware-style generators run their batched
     /// kernels instead of being called once per weight.
-    pub fn sample_weights(
-        &self,
-        eps_src: &mut impl GaussianSource,
-    ) -> Vec<(Vec<i32>, Vec<i32>)> {
+    pub fn sample_weights(&self, eps_src: &mut impl GaussianSource) -> WeightSet {
         self.sample_weights_with(eps_src, &mut Vec::new())
     }
 
@@ -357,20 +645,39 @@ impl QuantizedBnn {
         &self,
         eps_src: &mut impl GaussianSource,
         eps: &mut Vec<f64>,
-    ) -> Vec<(Vec<i32>, Vec<i32>)> {
-        let mut weights = Vec::with_capacity(self.layers.len());
-        self.sample_weights_into(eps_src, eps, &mut weights);
+    ) -> WeightSet {
+        let mut weights = WeightSet::default();
+        self.sample_weight_set_into(eps_src, eps, &mut weights);
         weights
+    }
+
+    /// The weight generator into a reused set, in the storage the
+    /// formats allow.
+    fn sample_weight_set_into(
+        &self,
+        eps_src: &mut impl GaussianSource,
+        eps: &mut Vec<f64>,
+        set: &mut WeightSet,
+    ) {
+        set.formats = Some(self.formats());
+        set.in_format = true;
+        if self.narrow() {
+            self.sample_weights_into(eps_src, eps, set.tables.narrow_mut());
+        } else {
+            self.sample_weights_into(eps_src, eps, set.tables.wide_mut());
+        }
     }
 
     /// The weight generator: overwrites `weights` with one sampled set,
     /// reusing its tables' capacity, and draws ε through `eps`. Once
-    /// both have grown to the network's shapes it allocates nothing.
-    fn sample_weights_into(
+    /// both have grown to the network's shapes it allocates nothing. The
+    /// storage only narrows the store: every weight is computed in the
+    /// same arithmetic and saturated into the weight format first.
+    fn sample_weights_into<T: Lane>(
         &self,
         eps_src: &mut impl GaussianSource,
         eps: &mut Vec<f64>,
-        weights: &mut Vec<(Vec<i32>, Vec<i32>)>,
+        weights: &mut Tables<T>,
     ) {
         let spec = &self.spec;
         let prod_frac = spec.sigma_fmt.frac_bits() + spec.eps_fmt.frac_bits();
@@ -381,14 +688,14 @@ impl QuantizedBnn {
             .max()
             .unwrap_or(0);
         eps.resize(max_len, 0.0);
-        let sample_into = |dst: &mut Vec<i32>, mu: &[i32], sigma: &[i32], eps: &[f64]| {
+        let sample_into = |dst: &mut Vec<T>, mu: &[i32], sigma: &[i32], eps: &[f64]| {
             dst.clear();
             dst.extend(mu.iter().zip(sigma).zip(eps).map(|((&mu, &sg), &e)| {
                 let e = spec.eps_fmt.quantize(e);
                 let noise = spec
                     .weight_fmt
                     .requantize(i64::from(sg) * i64::from(e), prod_frac);
-                spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise))
+                T::from_raw(spec.weight_fmt.saturate(i64::from(mu) + i64::from(noise)))
             }));
         };
         weights.resize_with(self.layers.len(), Default::default);
@@ -402,7 +709,21 @@ impl QuantizedBnn {
         }
     }
 
-    /// Forward pass of one batch through one sampled weight set; returns
+    /// Quantizes a batch to the activation format, in the storage of this
+    /// network's forward: the input every Monte Carlo member of the batch
+    /// reads ([`Self::sample_member`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols()` is not the input width.
+    pub fn quantize_input(&self, x: &Matrix) -> QuantizedInput {
+        assert_eq!(x.cols(), self.layers[0].in_dim, "activation width mismatch");
+        let mut input = QuantizedInput::default();
+        input.quantize_from(x, self.formats(), self.narrow());
+        input
+    }
+
+    /// Forward pass of one batch through one weight set; returns
     /// dequantized logits. This is the reference semantics the cycle
     /// simulator must match bit-for-bit. A convenience wrapper over
     /// [`Self::forward_into`] with fresh buffers.
@@ -410,11 +731,7 @@ impl QuantizedBnn {
     /// # Panics
     ///
     /// As [`Self::forward_into`].
-    pub fn forward_with_weights(
-        &self,
-        x: &Matrix,
-        weights: &[(Vec<i32>, Vec<i32>)],
-    ) -> Matrix {
+    pub fn forward_with_weights(&self, x: &Matrix, weights: &impl AsWeightSet) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.forward_into(x, weights, &mut ForwardScratch::default(), &mut out);
         out
@@ -430,30 +747,95 @@ impl QuantizedBnn {
     /// weight table: accumulators start at the bias (shifted to the
     /// product scale), then for every input `i` the activation `x[r][i]`
     /// scales weight row `i` into row `r`'s accumulators, a few batch
-    /// rows per weight row. Zero activations are skipped. Accumulation is
-    /// in `i32` when every partial sum provably fits — `(in_dim + 1) ·
-    /// 2^(act_bits + w_bits − 2) < 2^31` with the weight tables inside
-    /// the weight format — and otherwise in wrapping `i64`, the
-    /// [`vibnn_fixed::MacAccumulator`] arithmetic. Integer addition is exact and
-    /// associative (modulo 2^64 in the wide case), so neither the loop
-    /// order, the skipped zero products nor the narrow accumulator can
-    /// change a bit of the result.
+    /// rows per weight row. Zero activations are skipped.
+    ///
+    /// When `act_bits + w_bits ≤ 16` (the default `B = 8`), activations
+    /// and weights are `i16` and each product is formed in an `i16` lane,
+    /// which is exact because `|a·w| ≤ 2^14`.
+    /// Accumulation is in `i32` when every partial sum provably fits —
+    /// `(in_dim + 1) · 2^(act_bits + w_bits − 2) < 2^31` with the weights
+    /// inside the weight format — and otherwise in wrapping `i64`, the
+    /// [`vibnn_fixed::MacAccumulator`] arithmetic. Integer addition is
+    /// exact and associative (modulo 2^64 in the wide case), so neither
+    /// the loop order, the skipped zero products, the storage nor the
+    /// narrow accumulator can change a bit of the result.
     ///
     /// # Panics
     ///
     /// Panics if `weights` does not hold one `(in_dim·out_dim, out_dim)`
-    /// table pair per layer or `x.cols()` is not the input width. Serving
+    /// table pair per layer, is a [`WeightSet`] made for other formats,
+    /// or `x.cols()` is not the input width. Serving
     /// rejects ragged rows with a typed `ShapeMismatch` before they reach
     /// this check.
     pub fn forward_into(
         &self,
         x: &Matrix,
-        weights: &[(Vec<i32>, Vec<i32>)],
+        weights: &impl AsWeightSet,
         scratch: &mut ForwardScratch,
         out: &mut Matrix,
     ) {
-        assert_eq!(weights.len(), self.layers.len(), "weight set mismatch");
         assert_eq!(x.cols(), self.layers[0].in_dim, "activation width mismatch");
+        let weights = weights.as_weight_set(&self.spec);
+        // The input takes the set's storage: a hand-built set outside the
+        // weight format runs on i32 tables whatever the formats allow.
+        let ForwardScratch {
+            input,
+            narrow,
+            wide,
+        } = scratch;
+        input.quantize_from(
+            x,
+            self.formats(),
+            matches!(weights.tables, Lanes::Narrow(_)),
+        );
+        self.forward_quantized(input, &weights, narrow, wide, out);
+    }
+
+    /// The integer forward of a quantized batch through a weight set made
+    /// for this network's formats.
+    fn forward_quantized(
+        &self,
+        x: &QuantizedInput,
+        weights: &WeightSet,
+        narrow: &mut Buffers<i16>,
+        wide: &mut Buffers<i32>,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(x.cols, self.layers[0].in_dim, "activation width mismatch");
+        assert_eq!(
+            x.formats,
+            Some(self.formats()),
+            "input quantized for another network's formats"
+        );
+        assert_eq!(
+            weights.formats,
+            Some(self.formats()),
+            "weight set made for another network's formats"
+        );
+        match (&x.table, &weights.tables) {
+            (Lanes::Narrow(x_raw), Lanes::Narrow(w)) => {
+                self.forward_lanes(x_raw, x.rows, w, true, narrow, out);
+            }
+            (Lanes::Wide(x_raw), Lanes::Wide(w)) => {
+                self.forward_lanes(x_raw, x.rows, w, weights.in_format, wide, out);
+            }
+            _ => unreachable!("an input takes the storage of the weight set it meets"),
+        }
+    }
+
+    /// [`Self::forward_into`]'s layer loop in one storage: `x` is the
+    /// quantized `rows × in_dim` input, and `in_format` says whether
+    /// every weight lies in the weight format.
+    fn forward_lanes<T: Lane>(
+        &self,
+        x: &[T],
+        rows: usize,
+        weights: &[(Vec<T>, Vec<T>)],
+        in_format: bool,
+        buffers: &mut Buffers<T>,
+        out: &mut Matrix,
+    ) {
+        assert_eq!(weights.len(), self.layers.len(), "weight set mismatch");
         for (layer, (w, b)) in self.layers.iter().zip(weights) {
             assert!(
                 w.len() == layer.in_dim * layer.out_dim && b.len() == layer.out_dim,
@@ -462,58 +844,55 @@ impl QuantizedBnn {
         }
         let spec = &self.spec;
         let act_f = spec.act_fmt.frac_bits();
-        let from_frac = act_f + spec.weight_fmt.frac_bits();
-        let rows = x.rows();
-        let ForwardScratch { act, next, wide } = scratch;
-        act.clear();
-        act.extend(x.data().iter().map(|&v| spec.act_fmt.quantize_f32(v)));
+        let shift = spec.weight_fmt.frac_bits();
+        let Buffers {
+            act,
+            next,
+            acc,
+            acc_wide,
+        } = buffers;
         let last = self.layers.len() - 1;
         for (l, (layer, (w, b))) in self.layers.iter().zip(weights).enumerate() {
-            let finish = |raw: i64| {
-                let v = spec.act_fmt.requantize(raw, from_frac);
-                if l < last {
-                    vibnn_fixed::relu_raw(v)
-                } else {
-                    v
-                }
-            };
+            let input = if l == 0 { x } else { &act[..] };
             let n = rows * layer.out_dim;
-            next.resize(n, 0);
-            let narrow = narrow_accumulator_exact(layer.in_dim, spec.act_fmt, spec.weight_fmt)
-                && within(w, spec.weight_fmt)
-                && within(b, spec.weight_fmt);
-            if narrow {
-                mac_layer(act, layer.in_dim, w, b, act_f, next);
-                for v in next.iter_mut() {
-                    *v = finish(i64::from(*v));
-                }
+            let relu = l < last;
+            if in_format && narrow_accumulator_exact(layer.in_dim, spec.act_fmt, spec.weight_fmt) {
+                acc.resize(n, 0);
+                mac_layer(input, layer.in_dim, w, b, act_f, acc);
+                finish_layer(acc, spec.act_fmt, shift, relu, next);
             } else {
-                wide.resize(n, 0);
-                mac_layer(act, layer.in_dim, w, b, act_f, wide);
-                for (v, &raw) in next.iter_mut().zip(wide.iter()) {
-                    *v = finish(raw);
-                }
+                acc_wide.resize(n, 0);
+                mac_layer(input, layer.in_dim, w, b, act_f, acc_wide);
+                finish_layer(acc_wide, spec.act_fmt, shift, relu, next);
             }
             std::mem::swap(act, next);
         }
         out.resize(rows, self.layers[last].out_dim);
         for (o, &v) in out.data_mut().iter_mut().zip(act.iter()) {
-            *o = spec.act_fmt.dequantize(v) as f32;
+            *o = spec.act_fmt.dequantize(v.raw()) as f32;
         }
-        // Give each buffer the same role in every call (`act` takes the
-        // input), so a single call grows the scratch to its steady size.
+        // Give each buffer the same role in every call (`next` takes the
+        // first layer's output), so a single call grows the scratch to its
+        // steady size.
         if self.layers.len() % 2 == 1 {
             std::mem::swap(act, next);
         }
     }
 
     /// One Monte Carlo member: sample a weight set from `src`, run the
-    /// integer forward and softmax the logits. Every quantized Monte
-    /// Carlo loop — the batched calls here and the serving backend's
-    /// adaptive driver — takes its members from this one step.
+    /// integer forward on the quantized batch `x` and softmax the
+    /// logits. Every quantized Monte Carlo loop — the batched calls here
+    /// and the serving backend's adaptive driver — takes its members
+    /// from this one step, all of a batch's members from one
+    /// [`Self::quantize_input`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` was quantized by a network of other formats or
+    /// input width.
     pub fn sample_member(
         &self,
-        x: &Matrix,
+        x: &QuantizedInput,
         src: &mut impl GaussianSource,
         scratch: &mut McScratch,
     ) -> Matrix {
@@ -526,9 +905,13 @@ impl QuantizedBnn {
     /// (reshaped to `x.rows() × classes`). The weight set is sampled into
     /// `scratch`'s tables in place, so with a warm scratch and output the
     /// member allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::sample_member`].
     pub fn sample_member_into(
         &self,
-        x: &Matrix,
+        x: &QuantizedInput,
         src: &mut impl GaussianSource,
         scratch: &mut McScratch,
         out: &mut Matrix,
@@ -538,8 +921,8 @@ impl QuantizedBnn {
             weights,
             forward,
         } = scratch;
-        self.sample_weights_into(src, eps, weights);
-        self.forward_into(x, weights, forward, out);
+        self.sample_weight_set_into(src, eps, weights);
+        self.forward_quantized(x, weights, &mut forward.narrow, &mut forward.wide, out);
         softmax_rows(out);
     }
 
@@ -588,11 +971,12 @@ impl QuantizedBnn {
         threads: usize,
     ) -> Vec<Matrix> {
         assert!(samples > 0, "need at least one Monte Carlo sample");
+        let x = self.quantize_input(x);
         parallel_fork_map(
             samples,
             threads,
             eps_src,
-            |_, src, scratch: &mut McScratch| self.sample_member(x, src, scratch),
+            |_, src, scratch: &mut McScratch| self.sample_member(&x, src, scratch),
         )
     }
 
@@ -714,7 +1098,7 @@ mod tests {
         rows: usize,
         act_fmt: QFormat,
         weight_fmt: QFormat,
-    ) -> (QuantizedBnn, Matrix, Vec<(Vec<i32>, Vec<i32>)>) {
+    ) -> (QuantizedBnn, Matrix, Tables<i32>) {
         let pairs = sizes.windows(2);
         let params = BnnParams {
             weight_mu: pairs.clone().map(|p| Matrix::zeros(p[0], p[1])).collect(),
@@ -918,6 +1302,85 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sampler behind every member stores the weights in the
+        /// storage its formats allow and equals the oracle bit for bit,
+        /// through a set last sampled in the other storage.
+        #[test]
+        fn weight_set_sampler_matches_oracle(seed in 0u64.., bit_len in 2u32..=32) {
+            let mut rng = CaseRng(seed);
+            let w_bits = if rng.below(2) == 0 { bit_len } else { 2 + rng.below(31) as u32 };
+            let spec = QuantizationSpec {
+                bit_len,
+                weight_fmt: rng.format(w_bits),
+                sigma_fmt: rng.format(bit_len),
+                act_fmt: rng.format(bit_len),
+                eps_fmt: rng.format(bit_len),
+            };
+            let narrow = narrow_lanes(spec.act_fmt, spec.weight_fmt);
+            let other_bits = if narrow { 16 } else { 2 };
+            let other_spec = QuantizationSpec {
+                act_fmt: rng.format(other_bits),
+                weight_fmt: rng.format(other_bits),
+                ..spec
+            };
+            let sizes = rng.sizes();
+            let other_sizes = rng.sizes();
+            let q = rng.network(&sizes, spec);
+            let other = rng.network(&other_sizes, other_spec);
+            let mut eps = Vec::new();
+            let mut set = WeightSet::default();
+            let mut replay = Replay { vals: rng.eps_values(spec.eps_fmt, 97), at: 0 };
+            other.sample_weight_set_into(&mut replay, &mut eps, &mut set);
+            for _ in 0..2 {
+                let n = 1 + rng.below(500) as usize;
+                let vals = rng.eps_values(spec.eps_fmt, n);
+                q.sample_weight_set_into(&mut Replay { vals: vals.clone(), at: 0 }, &mut eps, &mut set);
+                prop_assert_eq!(matches!(set.tables, Lanes::Narrow(_)), narrow);
+                prop_assert_eq!(set.tables(), sample_weights_oracle(&q, &mut Replay { vals, at: 0 }));
+            }
+        }
+    }
+
+    #[test]
+    fn i16_products_are_exact_at_sixteen_bits_and_widen_beyond() {
+        // Every activation and weight at `min_raw`, so each product is the
+        // largest the formats allow: 2^14 at 16 bits in all, which an i16
+        // lane holds, and 2^15 at 17 bits, which would wrap to -2^15.
+        for (act_fmt, weight_fmt, narrow) in [
+            (QFormat::new(8, 4), QFormat::new(8, 3), true),
+            (QFormat::new(12, 6), QFormat::new(4, 0), true),
+            (QFormat::new(9, 4), QFormat::new(8, 3), false),
+            (QFormat::new(8, 4), QFormat::new(9, 0), false),
+        ] {
+            let (a, w) = (act_fmt.min_raw(), weight_fmt.min_raw());
+            let bits = act_fmt.total_bits() + weight_fmt.total_bits();
+            assert_eq!(i64::from(a) * i64::from(w), 1 << (bits - 2));
+            assert_eq!(narrow_lanes(act_fmt, weight_fmt), narrow, "{bits} bits");
+            let lane = i64::from((a as i16).wrapping_mul(w as i16));
+            assert_eq!(lane == i64::from(a) * i64::from(w), narrow, "{bits} bits");
+
+            let mut rng = CaseRng(u64::from(bits));
+            let (q, _, mut weights) = kernel_case(&mut rng, &[5, 3], 2, act_fmt, weight_fmt);
+            weights[0].0.fill(w);
+            weights[0].1.fill(w);
+            let x = Matrix::from_vec(2, 5, vec![act_fmt.dequantize(a) as f32; 10]);
+            let set = WeightSet::from_tables(&weights, q.spec());
+            assert_eq!(
+                matches!(set.tables, Lanes::Narrow(_)),
+                narrow,
+                "{bits} bits"
+            );
+            assert_eq!(
+                logit_bits(&q.forward_with_weights(&x, &set)),
+                logit_bits(&scalar_oracle(&q, &x, &weights)),
+                "{bits} bits"
+            );
+        }
+    }
+
     #[test]
     fn members_match_the_oracle_path_with_one_scratch() {
         // The paper's MNIST topology and the interactive one, each member
@@ -936,11 +1399,13 @@ mod tests {
                 *v = rng.next_gaussian() as f32;
             }
             let q = QuantizedBnn::from_params(&bnn.params(), 8, &x);
+            let xq = q.quantize_input(&x);
             let eps = ZigguratGrng::new(seed as u64 + 3);
             for s in 0..4 {
-                q.sample_member_into(&x, &mut eps.fork(s), &mut scratch, &mut out);
+                q.sample_member_into(&xq, &mut eps.fork(s), &mut scratch, &mut out);
                 let weights = sample_weights_oracle(&q, &mut eps.fork(s));
-                assert_eq!(scratch.weights, weights, "{sizes:?} sample {s}");
+                assert!(matches!(scratch.weights.tables, Lanes::Narrow(_)));
+                assert_eq!(scratch.weights.tables(), weights, "{sizes:?} sample {s}");
                 let mut want = q.forward_with_weights(&x, &weights);
                 softmax_rows(&mut want);
                 assert_eq!(logit_bits(&out), logit_bits(&want), "{sizes:?} sample {s}");
@@ -1054,6 +1519,8 @@ mod tests {
         weights[0].0[7] = i32::MAX;
         weights[1].1[2] = i32::MIN;
         assert!(!within(&weights[0].0, fmt) && !within(&weights[1].1, fmt));
+        let checked = WeightSet::from_tables(&weights, q.spec());
+        assert!(!checked.in_format && matches!(checked.tables, Lanes::Wide(_)));
         assert_eq!(
             logit_bits(&q.forward_with_weights(&x, &weights)),
             logit_bits(&scalar_oracle(&q, &x, &weights))
@@ -1126,7 +1593,7 @@ mod tests {
         let (bnn, x, _) = trained_bnn(11);
         let q = QuantizedBnn::from_params(&bnn.params(), 8, &x.rows_slice(0, 16));
         let mut eps = BoxMullerGrng::new(13);
-        for (w, b) in q.sample_weights(&mut eps) {
+        for (w, b) in q.sample_weights(&mut eps).tables() {
             let (lo, hi) = (q.spec().weight_fmt.min_raw(), q.spec().weight_fmt.max_raw());
             assert!(w.iter().all(|&v| v >= lo && v <= hi));
             assert!(b.iter().all(|&v| v >= lo && v <= hi));
@@ -1141,7 +1608,7 @@ mod tests {
         let a = q.sample_weights(&mut eps);
         let b = q.sample_weights(&mut eps);
         // Two samples should differ somewhere (σ > 0).
-        assert_ne!(a[0].0, b[0].0, "weight samples identical");
+        assert_ne!(a.tables()[0].0, b.tables()[0].0, "weight samples identical");
     }
 
     #[test]

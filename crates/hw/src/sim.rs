@@ -98,7 +98,7 @@ impl CycleAccelerator {
     /// with weights freshly sampled from `eps_src` by the weight
     /// generator. Returns the dequantized logits.
     pub fn infer_sample(&mut self, input: &[f32], eps_src: &mut impl GaussianSource) -> Vec<f32> {
-        let weights = self.qbnn.sample_weights(eps_src);
+        let weights = self.qbnn.sample_weights(eps_src).tables();
         self.stats.eps_consumed += self
             .qbnn
             .layer_sizes()
@@ -283,7 +283,7 @@ mod tests {
         let functional = q.forward_with_weights(&calib.rows_slice(0, 1), &weights);
         let sim_out = {
             let w2 = q.sample_weights(&mut eps_b);
-            sim.run_ticked(calib.row(0), &w2)
+            sim.run_ticked(calib.row(0), &w2.tables())
         };
         for (c, &f) in functional.row(0).iter().enumerate() {
             assert_eq!(

@@ -56,7 +56,7 @@
 
 use vibnn_bnn::{reduce_mean, BnnParams};
 use vibnn_grng::{GaussianSource, StreamFork};
-use vibnn_hw::{CycleAccelerator, McScratch, QuantizedBnn, Schedule};
+use vibnn_hw::{CycleAccelerator, McScratch, QuantizedBnn, QuantizedInput, Schedule};
 use vibnn_nn::{relu, softmax_rows, Matrix};
 
 use crate::sampler::{ExactN, RowTracker, SampleDecision, SamplingPolicy};
@@ -291,6 +291,34 @@ impl HostRow {
     }
 }
 
+/// A micro-batch as a backend's member reads it: float rows, or rows
+/// quantized once per micro-batch ([`QuantizedBnn::quantize_input`]).
+trait Batch: Default + Sync {
+    fn rows(&self) -> usize;
+    /// Overwrites `out` with the rows `indices`, in that order.
+    fn select_rows_into(&self, indices: &[usize], out: &mut Self);
+}
+
+impl Batch for Matrix {
+    fn rows(&self) -> usize {
+        Matrix::rows(self)
+    }
+
+    fn select_rows_into(&self, indices: &[usize], out: &mut Self) {
+        Matrix::select_rows_into(self, indices, out);
+    }
+}
+
+impl Batch for QuantizedInput {
+    fn rows(&self) -> usize {
+        QuantizedInput::rows(self)
+    }
+
+    fn select_rows_into(&self, indices: &[usize], out: &mut Self) {
+        QuantizedInput::select_rows_into(self, indices, out);
+    }
+}
+
 /// The sampling loop every backend runs.
 /// `member(x, src, scratch)` computes one Monte Carlo member — softmax
 /// probabilities for the rows of `x` — from `src = eps.fork(s)`.
@@ -306,8 +334,8 @@ impl HostRow {
 /// fixed `n`-sample run.
 ///
 /// [`PolicySpec::guaranteed_samples`]: crate::sampler::PolicySpec::guaranteed_samples
-fn drive_host_rows<S, W, F>(
-    chunk: &Matrix,
+fn drive_host_rows<S, W, X, F>(
+    chunk: &X,
     policy: &dyn SamplingPolicy,
     max_samples: usize,
     eps: &S,
@@ -317,7 +345,8 @@ fn drive_host_rows<S, W, F>(
 where
     S: StreamFork + Sync,
     W: Default,
-    F: Fn(&Matrix, &mut S, &mut W) -> Matrix + Sync,
+    X: Batch,
+    F: Fn(&X, &mut S, &mut W) -> Matrix + Sync,
 {
     assert!(max_samples > 0, "need at least one Monte Carlo sample");
     let warm = policy.spec().guaranteed_samples(max_samples);
@@ -341,7 +370,7 @@ where
     }
     let mut active: Vec<usize> = (0..rows.len()).filter(|&r| rows[r].running()).collect();
     let mut scratch = W::default();
-    let mut sub = Matrix::zeros(0, 0);
+    let mut sub = X::default();
     for s in warm..max_samples {
         if active.is_empty() {
             break;
@@ -427,8 +456,9 @@ fn finish_row(
 }
 
 /// The quantized-host datapath — the serving engine's default backend.
-/// Each member samples an integer weight set from `eps.fork(s)` and runs
-/// the integer forward ([`QuantizedBnn::forward_into`]) and softmax — the
+/// Each micro-batch is quantized once ([`QuantizedBnn::quantize_input`]);
+/// each member samples an integer weight set from `eps.fork(s)` and runs
+/// the integer forward and softmax ([`QuantizedBnn::sample_member`]) — the
 /// members of [`QuantizedBnn::predict_proba_mc_members_parallel`] — and
 /// means come from [`reduce_mean`], so results are bit-identical to the
 /// pre-backend serving engine.
@@ -459,7 +489,7 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for QuantizedBackend {
     ) -> (Vec<RowOutcome>, BackendCost) {
         let qbnn = &self.qbnn;
         drive_host_rows(
-            chunk,
+            &qbnn.quantize_input(chunk),
             policy,
             max_samples,
             eps,
@@ -600,7 +630,7 @@ impl<S: StreamFork + Sync> InferenceBackend<S> for CycleBackend {
     ) -> (Vec<RowOutcome>, BackendCost) {
         let qbnn = self.sim.network();
         let (out, mut cost) = drive_host_rows(
-            chunk,
+            &qbnn.quantize_input(chunk),
             policy,
             max_samples,
             eps,

@@ -9,8 +9,9 @@
 //!   heap allocations;
 //! - one quantized Monte Carlo member: once its `McScratch` and output
 //!   matrix are warm, `QuantizedBnn::sample_member_into` — ε draws, a
-//!   sampled weight set and the forward — performs **zero** heap
-//!   allocations.
+//!   sampled weight set and the forward, in `i16` lanes at `B = 8` —
+//!   performs **zero** heap allocations, and the weight set it samples
+//!   takes half the bytes of `i32` tables.
 //!
 //! The counter is process-wide, so every test holds `SERIAL` for its
 //! whole run and no concurrent test can pollute another's count.
@@ -23,6 +24,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -157,7 +159,14 @@ fn warm_monte_carlo_member_allocates_nothing() {
         }
         let bnn = Bnn::new(BnnConfig::new(&sizes), 5);
         let q = QuantizedBnn::from_params(&bnn.params(), 8, &x);
+        let x = q.quantize_input(&x);
         let eps = ZigguratGrng::new(9);
+        let entries: usize = sizes.windows(2).map(|p| p[0] * p[1] + p[1]).sum();
+        assert_eq!(
+            2 * q.sample_weights(&mut eps.fork(0)).table_bytes(),
+            entries * size_of::<i32>(),
+            "{sizes:?}: an 8-bit weight set should take half the bytes of i32 tables"
+        );
         let mut scratch = McScratch::default();
         let mut out = Matrix::zeros(0, 0);
         q.sample_member_into(&x, &mut eps.fork(0), &mut scratch, &mut out);
